@@ -1,9 +1,9 @@
 """Coordinator-side journal: the durable truth of a federated job.
 
-Same append-only, flushed-per-record, torn-tail-tolerant JSONL contract
-as :mod:`repro.serve.journal` — a coordinator killed mid-write leaves at
-most one torn trailing line, which the loader drops; any other damage
-raises :class:`ClusterJournalError` with ``path:line`` context.
+Appends, torn-tail tolerance, tail repair and write rollback follow the
+one log contract in :mod:`repro.runtime.jsonlog`; damage other than a
+torn final line raises :class:`ClusterJournalError` with ``path:line``
+context.
 
 Record shapes::
 
@@ -22,13 +22,11 @@ the pre-crash one (duplicates discarded then stay discarded now).
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
-from typing import IO, Any
+from typing import Any
 
-from repro.chaos import fs as chaos_fs
+from repro.runtime import jsonlog
 
 __all__ = ["ClusterJournal", "ClusterJournalError", "load_cluster_journal"]
 
@@ -48,24 +46,12 @@ def load_cluster_journal(
     path = os.fspath(path)
     if not os.path.exists(path):
         return None, []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    stripped = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
     plan: dict[str, Any] | None = None
     events: list[dict[str, Any]] = []
-    for pos, (lineno, line) in enumerate(stripped):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if pos == len(stripped) - 1:
-                break  # torn final write from a killed coordinator
-            raise ClusterJournalError(
-                f"{path}:{lineno}: malformed journal record mid-file "
-                f"(not valid JSON: {exc.msg})"
-            ) from exc
-        if not isinstance(rec, dict) or rec.get("type") not in (
-            "cluster", "slice",
-        ):
+    for lineno, rec in jsonlog.read_objects(
+        path, ClusterJournalError, "journal record"
+    ):
+        if rec.get("type") not in ("cluster", "slice"):
             raise ClusterJournalError(
                 f"{path}:{lineno}: record is not a cluster/slice event"
             )
@@ -84,23 +70,6 @@ def load_cluster_journal(
     return plan, events
 
 
-def _repair_tail(path: str) -> None:
-    """Truncate a torn trailing record so the next append starts clean."""
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return
-    with open(path, "rb+") as handle:
-        data = handle.read()
-        if data.endswith(b"\n"):
-            return
-        cut = data.rfind(b"\n") + 1
-        try:
-            json.loads(data[cut:])
-        except json.JSONDecodeError:
-            handle.truncate(cut)
-        else:
-            handle.write(b"\n")
-
-
 class ClusterJournal:
     """Append-only writer plus the recovery view over one journal file."""
 
@@ -110,40 +79,23 @@ class ClusterJournal:
         self.recovered_plan, self.recovered_events = load_cluster_journal(
             self.path
         )
-        _repair_tail(self.path)
-        self._lock = threading.Lock()
-        self._handle: IO[str] | None = chaos_fs.open(
-            self.path, "a", encoding="utf-8"
-        )
-        #: appends lost to OSError (disk full, I/O error).  The journal
-        #: is an optimisation for *restart* — live correctness never
-        #: depends on it (replay re-runs any slice whose records are
-        #: missing or whose spool fails its count check), so a failed
-        #: append is repaired, counted, and swallowed rather than
-        #: allowed to kill a healthy run.
-        self.write_errors = 0
+        jsonlog.repair_tail(self.path)
+        self._log = jsonlog.Appender(self.path)
+
+    @property
+    def write_errors(self) -> int:
+        """Appends lost to OSError (disk full, I/O error)."""
+        return self._log.write_errors
 
     def _append(self, record: dict[str, Any]) -> None:
-        with self._lock:
-            assert self._handle is not None, "journal is closed"
-            pos = self._handle.tell()
-            try:
-                self._handle.write(
-                    json.dumps(record, separators=(",", ":")) + "\n"
-                )
-                self._handle.flush()
-            except OSError:
-                # truncate the torn half-record so later appends stay
-                # parseable (the loader only forgives a torn FINAL line)
-                self.write_errors += 1
-                try:
-                    self._handle.flush()
-                except OSError:
-                    pass
-                try:
-                    self._handle.truncate(pos)
-                except OSError:  # pragma: no cover - disk beyond repair
-                    pass
+        # the journal only speeds up a *restart* — replay re-runs any
+        # slice whose records are missing or whose spool fails its count
+        # check — so a failed append is counted and swallowed, never
+        # allowed to kill a healthy run
+        try:
+            self._log.append(jsonlog.dumps(record))
+        except OSError:
+            pass
 
     def record_plan(
         self,
@@ -159,22 +111,16 @@ class ClusterJournal:
         })
 
     def record_slice(self, event: str, slice_id: str, **extra: Any) -> None:
-        record: dict[str, Any] = {
+        self._append({
             "type": "slice", "event": event, "slice_id": slice_id,
-            "t": round(time.time(), 3),
-        }
-        record.update(extra)
-        self._append(record)
+            "t": round(time.time(), 3), **extra,
+        })
 
     def record_terminal(self, event: str, **extra: Any) -> None:
-        record: dict[str, Any] = {
+        self._append({
             "type": "cluster", "event": event, "t": round(time.time(), 3),
-        }
-        record.update(extra)
-        self._append(record)
+            **extra,
+        })
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        self._log.close()

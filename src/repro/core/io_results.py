@@ -6,19 +6,20 @@ results round-trip through :func:`read_bicliques` and can be audited later
 with ``repro-mbe verify``.
 
 :class:`BicliqueWriter` is the streaming face of the same format: one
-line per :meth:`~BicliqueWriter.write`, flushed immediately, so a
-process killed mid-run leaves at most one torn trailing line (which
-:func:`read_bicliques` can be told to tolerate).  The serving layer's
-memory watchdog spools through it when a job outgrows RAM.
+flushed line per :meth:`~BicliqueWriter.write`, rolled back on failure,
+so a process killed mid-run leaves at most one torn trailing line (which
+:func:`read_bicliques` can be told to tolerate) — the log contract of
+:mod:`repro.runtime.jsonlog`.  The serving layer's memory watchdog and
+the cluster coordinator spool through it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import IO, Iterable
+from typing import Iterable
 
-from repro.chaos import fs as chaos_fs
 from repro.core.base import Biclique
+from repro.runtime import jsonlog
 
 
 class BicliqueWriter:
@@ -30,34 +31,18 @@ class BicliqueWriter:
 
     def __init__(self, path: str | os.PathLike[str]):
         self.path = os.fspath(path)
-        self._handle: IO[str] | None = chaos_fs.open(
-            self.path, "w", encoding="utf-8"
-        )
+        self._log = jsonlog.Appender(self.path, "w")
         self.count = 0
         self.bytes_written = 0
 
     def write(self, b: Biclique) -> None:
-        assert self._handle is not None, "writer is closed"
         line = (
             ",".join(map(str, b.left)) + "\t" + ",".join(map(str, b.right)) + "\n"
         )
-        pos = self._handle.tell()
-        try:
-            self._handle.write(line)
-            self._handle.flush()
-        except OSError:
-            # roll the torn half-line back before re-raising, so a
-            # caller that survives the error (or a replay that count-
-            # checks this spool) reads only whole records
-            try:
-                self._handle.flush()
-            except OSError:
-                pass
-            try:
-                self._handle.truncate(pos)
-            except OSError:  # pragma: no cover - disk beyond repair
-                pass
-            raise
+        # a failure is rolled back and re-raised, so a caller that
+        # survives it (or a replay that count-checks this spool) reads
+        # only whole records
+        self._log.append(line)
         self.count += 1
         self.bytes_written += len(line)
 
@@ -67,9 +52,7 @@ class BicliqueWriter:
         return self.count
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
     def __enter__(self) -> "BicliqueWriter":
         return self
@@ -101,33 +84,29 @@ def read_bicliques(
     raising — the signature a kill mid-:meth:`BicliqueWriter.write`
     leaves behind.  Malformed lines anywhere else always raise.
     """
-    out: list[Biclique] = []
     path = os.fspath(path)
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    last_lineno = len(lines)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'left<TAB>right', got {line!r}"
-                )
-            try:
-                left = [int(x) for x in parts[0].split(",") if x]
-                right = [int(x) for x in parts[1].split(",") if x]
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: non-integer vertex id"
-                ) from exc
-            if not left or not right:
-                raise ValueError(f"{path}:{lineno}: empty biclique side")
-        except ValueError:
-            if tolerate_torn_tail and lineno == last_lineno:
-                break
-            raise
-        out.append(Biclique.make(left, right))
-    return out
+    return [
+        b
+        for _, b in jsonlog.read_lines(
+            path, _parse_line, ValueError, tolerate_torn_tail
+        )
+        if b is not None
+    ]
+
+
+def _parse_line(line: str) -> Biclique | None:
+    """One ``left<TAB>right`` line; None for a ``#`` comment."""
+    line = line.strip()
+    if line.startswith("#"):
+        return None
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise ValueError(f"expected 'left<TAB>right', got {line!r}")
+    try:
+        left = [int(x) for x in parts[0].split(",") if x]
+        right = [int(x) for x in parts[1].split(",") if x]
+    except ValueError:
+        raise ValueError("non-integer vertex id") from None
+    if not left or not right:
+        raise ValueError("empty biclique side")
+    return Biclique.make(left, right)

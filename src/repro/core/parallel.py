@@ -799,10 +799,17 @@ class ParallelMBE(MBEAlgorithm):
         if stopped:
             meta["stopped"] = stopped
 
+        # "complete" is a positive account, not the absence of a recorded
+        # failure: every task handed to the executor (a split task
+        # counting as its replacements) must have come back completed;
+        # resumed tasks were accounted for by the checkpoint
         complete = (
             stopped is None
             and not saw_partial
-            and (report is None or not report.failures)
+            and (
+                report is None
+                or report.completed == len(tasks) + report.split_growth
+            )
         )
 
         # Mirror the sequential result-cap semantics: never return more

@@ -73,11 +73,6 @@ class PrefixTree:
         """Current number of trie nodes (including the root)."""
         return self._n_nodes
 
-    @property
-    def n_sets(self) -> int:
-        """Number of stored sets, counting multiplicity."""
-        return self._n_sets
-
     def __len__(self) -> int:
         return self._n_sets
 

@@ -21,7 +21,6 @@ estimates via :func:`recommend_slices` /
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -399,15 +398,3 @@ def recommend_straggler_factor(estimates: list[int]) -> float:
         return 4.0
     skew = max(estimates) / mean
     return max(2.0, min(10.0, 1.5 + skew / 2.0))
-
-
-def summarize_estimates(estimates: list[int]) -> dict[str, float]:
-    """Small stats row over per-root estimates (for logs and journals)."""
-    if not estimates:
-        return {"n_roots": 0, "total": 0, "max": 0, "median": 0.0}
-    return {
-        "n_roots": len(estimates),
-        "total": sum(estimates),
-        "max": max(estimates),
-        "median": float(statistics.median(estimates)),
-    }

@@ -11,6 +11,8 @@ algorithms in :mod:`repro.core`:
   retries and exponential backoff.
 * :mod:`repro.runtime.checkpoint` — JSONL checkpoint files that let a
   killed parallel run resume without redoing finished subtrees.
+* :mod:`repro.runtime.jsonlog` — the one crash-safe append-only log
+  behind checkpoints, the serve and cluster journals and result spools.
 * :mod:`repro.runtime.faults` — :class:`FaultPlan`: deterministic
   crash/hang/slow injection used by the stress tests to prove all of the
   above.

@@ -14,13 +14,12 @@ checkpoint is an append-only JSONL file:
   work-graph coordinates.  Tasks cut short by a budget are never
   recorded, so a resumed run redoes them in full.
 
-Records are flushed as they are written; a run killed mid-write leaves at
-most one torn trailing line, which the loader tolerates and drops.  Any
-*other* damage — invalid JSON mid-file, a record that is not a JSON
-object, a task record with missing or mistyped fields — raises
+Appends, torn-tail tolerance and write rollback follow the one log
+contract in :mod:`repro.runtime.jsonlog`; any damage other than a torn
+final line — invalid JSON mid-file, a record that is not a JSON object,
+a task record with missing or mistyped fields — raises
 :class:`CheckpointError` with ``path:line`` context instead of silently
-dropping data or surfacing an opaque ``json.JSONDecodeError`` /
-``KeyError`` deep inside resume.
+dropping data or surfacing an opaque ``KeyError`` deep inside resume.
 
 Resume reconciliation (:func:`reconcile_tasks`) is root-aware: a root
 ``v`` may have been recorded either as the whole-subtree task ``(v,0,1)``
@@ -32,12 +31,12 @@ twice across a kill/resume cycle.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from typing import IO, Any
+from typing import Any
 
 from repro.chaos import fs as chaos_fs
+from repro.runtime import jsonlog
 
 __all__ = [
     "Checkpoint",
@@ -96,35 +95,12 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint | None:
     path = os.fspath(path)
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        return None
-    parsed: list[dict[str, Any]] = []
-    for i, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if i == len(lines) - 1:
-                break  # torn final write from a killed run
-            raise CheckpointError(
-                f"{path}:{i + 1}: malformed checkpoint record mid-file "
-                f"(not valid JSON: {exc.msg}); the file cannot be trusted — "
-                f"delete it to restart from scratch"
-            ) from exc
-        if not isinstance(record, dict):
-            # valid JSON that is not an object is corruption everywhere,
-            # including the tail: a torn write of this writer's records
-            # can never parse as a bare scalar or array
-            raise CheckpointError(
-                f"{path}:{i + 1}: checkpoint record is not a JSON object "
-                f"(got {type(record).__name__})"
-            )
-        parsed.append(record)
+    parsed = list(
+        jsonlog.read_objects(path, CheckpointError, "checkpoint record")
+    )
     if not parsed:
         return None
-    header = parsed[0]
+    header = parsed[0][1]
     if header.get("type") != "header":
         raise CheckpointError(f"{path}: first line is not a checkpoint header")
     if header.get("version") != FORMAT_VERSION:
@@ -132,8 +108,8 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint | None:
             f"{path}: unsupported checkpoint version {header.get('version')!r}"
         )
     ckpt = Checkpoint(header={k: v for k, v in header.items() if k != "version"})
-    for i, rec in enumerate(parsed[1:], start=2):
-        _validate_task_record(rec, path, i)
+    for lineno, rec in parsed[1:]:
+        _validate_task_record(rec, path, lineno)
         ckpt.records[rec["key"]] = rec
     return ckpt
 
@@ -186,23 +162,21 @@ class CheckpointWriter:
     ):
         self.path = os.fspath(path)
         tmp = self.path + ".tmp"
-        self._handle: IO[str] | None = chaos_fs.open(
-            tmp, "w", encoding="utf-8"
-        )
         # header/resume failures raise: without them the file is useless
-        self._write(dict(fingerprint, type="header", version=FORMAT_VERSION))
-        for rec in resume_records or ():
-            self._write(rec)
-        self._handle.close()
+        with chaos_fs.open(tmp, "w", encoding="utf-8") as handle:
+            for rec in [
+                dict(fingerprint, type="header", version=FORMAT_VERSION),
+                *(resume_records or ()),
+            ]:
+                handle.write(jsonlog.dumps(rec))
+                handle.flush()
         chaos_fs.replace(tmp, self.path)
-        self._handle = chaos_fs.open(self.path, "a", encoding="utf-8")
-        #: task records lost to OSError (disk full, I/O error)
-        self.write_errors = 0
+        self._log = jsonlog.Appender(self.path)
 
-    def _write(self, obj: dict[str, Any]) -> None:
-        assert self._handle is not None
-        self._handle.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        self._handle.flush()
+    @property
+    def write_errors(self) -> int:
+        """Task records lost to OSError (disk full, I/O error)."""
+        return self._log.write_errors
 
     def record(
         self,
@@ -213,45 +187,28 @@ class CheckpointWriter:
     ) -> None:
         """Persist one completed task's outcome.
 
-        The checkpoint accelerates *resume*; the run in progress never
-        depends on it.  A record that fails with ``OSError`` is rolled
-        back (truncated so the file stays loadable — the loader only
-        forgives a torn FINAL line) and counted in ``write_errors``, and
-        the run continues: losing a record merely means a future resume
-        redoes that task.
+        The run in progress never depends on the checkpoint, so a record
+        lost to ``OSError`` (rolled back, counted in ``write_errors``) is
+        swallowed: a future resume merely redoes that task.
         """
-        assert self._handle is not None
-        pos = self._handle.tell()
         try:
-            self._write(
-                {
-                    "type": "task",
-                    "key": task_key(task),
-                    "task": list(task),
-                    "count": count,
-                    "stats": {k: v for k, v in stats.items() if v},
-                    "bicliques": (
-                        [[list(b.left), list(b.right)] for b in bicliques]
-                        if bicliques is not None
-                        else None
-                    ),
-                }
-            )
+            self._log.append(jsonlog.dumps({
+                "type": "task",
+                "key": task_key(task),
+                "task": list(task),
+                "count": count,
+                "stats": {k: v for k, v in stats.items() if v},
+                "bicliques": (
+                    [[list(b.left), list(b.right)] for b in bicliques]
+                    if bicliques is not None
+                    else None
+                ),
+            }))
         except OSError:
-            self.write_errors += 1
-            try:
-                self._handle.flush()
-            except OSError:
-                pass
-            try:
-                self._handle.truncate(pos)
-            except OSError:  # pragma: no cover - disk beyond repair
-                pass
+            pass
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
 
 def reconcile_tasks(

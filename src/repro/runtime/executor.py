@@ -74,6 +74,10 @@ class ExecutionReport:
     """Outcome of one :meth:`ResilientExecutor.run` call."""
 
     completed: int = 0
+    #: tasks added by ``split_fn`` beyond the ones they replaced, so a
+    #: caller can account for every task: handed in + this = completed
+    #: + failed + never run
+    split_growth: int = 0
     retries: int = 0
     pool_restarts: int = 0
     failures: list[TaskFailure] = field(default_factory=list)
@@ -173,6 +177,7 @@ class ResilientExecutor:
         )
         replacements = self.split_fn(task, attempts) if self.split_fn else None
         if replacements:
+            report.split_growth += len(replacements) - 1
             pending.extend((t, 0) for t in replacements)
         else:
             pending.append((task, attempts))
@@ -237,10 +242,15 @@ class ResilientExecutor:
                 task, attempt = pending.popleft()
                 try:
                     fut = pool.submit(self.task_fn, task, attempt)
-                except Exception:  # pool already broken: requeue and recycle
+                except Exception:
+                    # pool already broken: requeue this task and drain
+                    # the ones already in flight like any broken pool
                     pending.appendleft((task, attempt))
-                    return True
+                    broken = True
+                    break
                 in_flight[fut] = (task, attempt)
+            if broken:
+                break
             window = None
             if self.task_timeout is not None:
                 window = max(

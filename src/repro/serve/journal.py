@@ -1,4 +1,4 @@
-"""Crash-safe job journal: append-only JSONL with torn-tail tolerance.
+"""Crash-safe job journal: the service's append-only JSONL event log.
 
 The journal is the service's only durable truth about jobs.  One record
 per lifecycle event::
@@ -8,10 +8,9 @@ per lifecycle event::
     {"type": "job", "event": "started" | "interrupted" | "done" |
      "failed" | "cancelled", "job_id": ..., "t": ..., ...}
 
-Records are flushed as written (the same torn-tail discipline as
-:mod:`repro.runtime.checkpoint`): a server killed mid-write leaves at
-most one torn trailing line, which :func:`load_journal` drops; any
-other corruption raises :class:`JournalError` with ``path:line``
+Appends, torn-tail tolerance, tail repair and write rollback follow the
+one log contract in :mod:`repro.runtime.jsonlog`; damage other than a
+torn final line raises :class:`JournalError` with ``path:line``
 context.
 
 Replaying the journal reconstructs every job's last known state.  Jobs
@@ -26,13 +25,13 @@ re-running it.
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
-import threading
 import time
-from typing import IO, Any
+from typing import Any
 
 from repro.chaos import fs as chaos_fs
+from repro.runtime import jsonlog
 from repro.serve.jobs import Job, JobSpec
 
 __all__ = ["JobJournal", "JournalError", "load_journal"]
@@ -56,21 +55,11 @@ def load_journal(path: str | os.PathLike[str]) -> dict[str, dict[str, Any]]:
     path = os.fspath(path)
     if not os.path.exists(path):
         return {}
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
     jobs: dict[str, dict[str, Any]] = {}
-    stripped = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
-    for pos, (lineno, line) in enumerate(stripped):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if pos == len(stripped) - 1:
-                break  # torn final write from a killed server
-            raise JournalError(
-                f"{path}:{lineno}: malformed journal record mid-file "
-                f"(not valid JSON: {exc.msg})"
-            ) from exc
-        if not isinstance(rec, dict) or rec.get("type") != "job":
+    for lineno, rec in jsonlog.read_objects(
+        path, JournalError, "journal record"
+    ):
+        if rec.get("type") != "job":
             raise JournalError(
                 f"{path}:{lineno}: journal record is not a job event object"
             )
@@ -95,29 +84,6 @@ def load_journal(path: str | os.PathLike[str]) -> dict[str, dict[str, Any]]:
             if key in rec:
                 entry[key] = rec[key]
     return jobs
-
-
-def _repair_tail(path: str) -> None:
-    """Make a journal appendable again after a mid-write kill.
-
-    A file ending mid-line either holds a torn (unparseable) record —
-    truncated away, matching what :func:`load_journal` already ignores —
-    or a complete record missing only its newline, which gets one so the
-    next append does not fuse two records.
-    """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return
-    with open(path, "rb+") as handle:
-        data = handle.read()
-        if data.endswith(b"\n"):
-            return
-        cut = data.rfind(b"\n") + 1
-        try:
-            json.loads(data[cut:])
-        except json.JSONDecodeError:
-            handle.truncate(cut)
-        else:
-            handle.write(b"\n")
 
 
 class JobJournal:
@@ -158,14 +124,9 @@ class JobJournal:
             os.remove(tmp)
         #: replayed state from a previous server life (before this open)
         self.recovered = load_journal(self.path)
-        _repair_tail(self.path)
-        self._lock = threading.Lock()
-        self._handle: IO[str] | None = chaos_fs.open(
-            self.path, "a", encoding="utf-8"
-        )
+        jsonlog.repair_tail(self.path)
+        self._log = jsonlog.Appender(self.path)
         self.compactions = 0
-        #: appends that failed with OSError (disk full, I/O error)
-        self.write_errors = 0
         #: compaction passes abandoned on OSError (old file kept)
         self.compact_failures = 0
         if self._due_for_compaction():
@@ -191,41 +152,22 @@ class JobJournal:
                 return True
         return False
 
+    @property
+    def write_errors(self) -> int:
+        """Appends that failed with OSError (disk full, I/O error)."""
+        return self._log.write_errors
+
     def _append(self, record: dict[str, Any]) -> None:
-        with self._lock:
-            assert self._handle is not None, "journal is closed"
-            pos = self._handle.tell()
-            try:
-                self._handle.write(
-                    json.dumps(record, separators=(",", ":")) + "\n"
-                )
-                self._handle.flush()
-            except OSError:
-                # a torn half-record would poison every later append
-                # (loaders only forgive a torn FINAL line) — truncate
-                # back to the last good record before surfacing the
-                # failure so the journal stays appendable
-                self.write_errors += 1
-                self._truncate_to(pos)
-                raise
+        # a failed append is rolled back and re-raised by the appender;
+        # the service turns it into an admission 503 or a counted gap
+        with self._log.lock:
+            self._log.append(jsonlog.dumps(record))
             due = (
                 self.compact_max_bytes is not None
-                and self._handle.tell() > self.compact_max_bytes
+                and self._log.tell() > self.compact_max_bytes
             )
         if due:
             self.compact()
-
-    def _truncate_to(self, pos: int) -> None:
-        """Best-effort rollback of a failed append (lock already held)."""
-        assert self._handle is not None
-        try:
-            self._handle.flush()
-        except OSError:
-            pass
-        try:
-            self._handle.truncate(pos)
-        except OSError:  # pragma: no cover - disk beyond repair
-            pass
 
     def record_event(self, job: Job, event: str, **extra: Any) -> None:
         """Append one lifecycle event for ``job``."""
@@ -278,9 +220,8 @@ class JobJournal:
         ``OSError`` (disk full, I/O error) is abandoned and reported as
         ``-1`` — the original file stays authoritative and appendable.
         """
-        with self._lock:
-            assert self._handle is not None, "journal is closed"
-            self._handle.flush()
+        with self._log.lock:
+            self._log.flush()
             state = load_journal(self.path)
             now = time.time()
             expirable: list[str] = [
@@ -315,28 +256,19 @@ class JobJournal:
                         ):
                             continue  # expired, or a torn pre-crash submit
                         kept += 1
-                        sub = {
+                        out.write(jsonlog.dumps({
                             "type": "job", "event": "submitted",
-                            "job_id": job_id,
-                            "t": e.get("t0") or e.get("t"),
+                            "job_id": job_id, "t": e.get("t0") or e.get("t"),
                             "spec": e["spec"],
                             "idempotency_key": e.get("idempotency_key"),
-                        }
-                        out.write(
-                            json.dumps(sub, separators=(",", ":")) + "\n"
-                        )
+                        }))
                         if e.get("event") != "submitted":
-                            last: dict[str, Any] = {
+                            out.write(jsonlog.dumps({
                                 "type": "job", "event": e["event"],
                                 "job_id": job_id, "t": e.get("t"),
-                            }
-                            for key in ("summary", "error"):
-                                if key in e:
-                                    last[key] = e[key]
-                            out.write(
-                                json.dumps(last, separators=(",", ":"))
-                                + "\n"
-                            )
+                                **{k: e[k] for k in ("summary", "error")
+                                   if k in e},
+                            }))
                     out.flush()
                     chaos_fs.fsync(out.fileno(), tmp)
             except OSError:
@@ -344,29 +276,22 @@ class JobJournal:
                 self.compact_failures += 1
                 self._discard_tmp(tmp)
                 return -1
-            self._handle.close()
+            self._log.close()
             try:
                 chaos_fs.replace(tmp, self.path)
             except OSError:
                 self.compact_failures += 1
                 self._discard_tmp(tmp)
-                self._handle = chaos_fs.open(
-                    self.path, "a", encoding="utf-8"
-                )
+                self._log.reopen()
                 return -1
-            self._handle = chaos_fs.open(self.path, "a", encoding="utf-8")
+            self._log.reopen()
             self.compactions += 1
             return kept
 
     @staticmethod
     def _discard_tmp(tmp: str) -> None:
-        try:
+        with contextlib.suppress(OSError):
             os.remove(tmp)
-        except OSError:
-            pass
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        self._log.close()

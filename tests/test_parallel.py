@@ -160,6 +160,20 @@ class TestFaultRecovery:
         assert result.biclique_set() == G0_MAXIMAL
         assert result.meta["retries"] >= 1
 
+    def test_dropped_task_is_not_complete(self, g0, monkeypatch):
+        # an executor that silently loses a task records no failure;
+        # "complete" must still come out False from the task account
+        from repro.runtime.executor import ResilientExecutor
+
+        run_serial = ResilientExecutor.run_serial
+        monkeypatch.setattr(
+            ResilientExecutor, "run_serial",
+            lambda self, tasks: run_serial(self, tasks[1:]),
+        )
+        result = run_mbe(g0, "parallel", workers=1)
+        assert not result.meta.get("failures")
+        assert result.complete is False
+
     def test_inline_permanent_crash_partial(self, g0):
         faults, victim = _crash_plan(g0, crash_attempts=99)
         result = run_mbe(

@@ -402,3 +402,42 @@ class TestResilientExecutor:
         report = ex.run_serial([(1, 0, 1), (2, 0, 1), (3, 0, 1)])
         assert report.stopped == "cancelled"
         assert len(done) == 1
+
+    def test_submit_failure_drains_in_flight_tasks(self):
+        # a pool that breaks on submit still holds futures already in
+        # flight; they must be collected or requeued, never abandoned
+        from concurrent.futures import ThreadPoolExecutor
+
+        class RefusesSecondSubmit(ThreadPoolExecutor):
+            submits = 0
+
+            def submit(self, *args, **kwargs):
+                RefusesSecondSubmit.submits += 1
+                if RefusesSecondSubmit.submits == 2:
+                    raise RuntimeError("cannot schedule new futures")
+                return super().submit(*args, **kwargs)
+
+        results = []
+        ex = ResilientExecutor(
+            task_fn=lambda task, attempt: task[0],
+            pool_factory=lambda: RefusesSecondSubmit(max_workers=2),
+            max_inflight=2,
+            **self._executor(results),
+        )
+        report = ex.run([(i, 0, 1) for i in range(4)])
+        assert sorted(r[1] for r in results) == [0, 1, 2, 3]
+        assert report.completed == 4 and not report.failures
+
+    def test_split_growth_accounts_for_replacements(self):
+        def crash_whole(task, attempt):
+            if task[2] == 1:
+                raise RuntimeError("too big")
+            return task
+        ex = ResilientExecutor(
+            task_fn=crash_whole,
+            split_fn=lambda task, attempts: [(task[0], p, 3) for p in range(3)],
+            **self._executor([]),
+        )
+        report = ex.run_serial([(5, 0, 1), (6, 0, 1)])
+        assert report.split_growth == 4
+        assert report.completed == 2 + report.split_growth
