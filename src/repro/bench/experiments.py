@@ -312,7 +312,6 @@ def exp_f6_ablation(quick: bool = False) -> ExperimentResult:
         ("w/o trie", "mbet", {"use_trie": False}),
         ("w/o merge", "mbet", {"use_merge": False}),
         ("w/o sort", "mbet", {"use_sort": False}),
-        ("vectorized", "mbet_vec", {}),
     ]
     headers = ["dataset"] + [label for label, _, _ in variants]
     rows = []
@@ -333,14 +332,9 @@ def exp_f6_ablation(quick: bool = False) -> ExperimentResult:
                "the 1/100 downscaling shrank traversed sets below the "
                "trie/linear-scan crossover; R-E4 isolates that crossover "
                "and shows the full-scale datasets sit beyond it.",
-               "'vectorized' swaps the int-bitmask inner loop for the "
-               "batched uint64 kernels in repro.setops.kernels.  The "
-               "per-group numpy formulation this column used to measure "
-               "was a documented negative result (per-node dispatch "
-               "dominated on narrow nodes); the batched hybrid flips it — "
-               "wide subtrees run on packed row batches and narrow ones "
-               "drop down to the int path, so the column now tracks mbet "
-               "(see docs/performance.md for the crossover study)."],
+               "The former 'vectorized' column (the batched-kernel "
+               "engine) is gone: it tracked mbet within noise on every "
+               "row, so the engine was removed."],
     )
 
 

@@ -13,8 +13,6 @@ All generators are deterministic in their ``seed`` argument.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bigraph.builder import GraphBuilder
 from repro.bigraph.graph import BipartiteGraph
 
@@ -33,6 +31,8 @@ def random_bipartite(
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     if n_u < 0 or n_v < 0:
         raise ValueError("side sizes must be non-negative")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     cells = n_u * n_v
     if cells == 0 or p == 0.0:
@@ -64,6 +64,8 @@ def powerlaw_bipartite(
         raise ValueError("side sizes must be positive")
     if n_edges < 0:
         raise ValueError("edge count must be non-negative")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     alpha = 1.0 / (exponent - 1.0)
 
@@ -102,6 +104,8 @@ def planted_bicliques(
     for lo, hi in (block_u, block_v):
         if not 1 <= lo <= hi:
             raise ValueError("block size ranges must satisfy 1 <= lo <= hi")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     builder = GraphBuilder()
     for _ in range(n_blocks):
@@ -130,6 +134,8 @@ def subsample_edges(
     edges = list(graph.edges())
     if fraction == 1.0:
         return graph
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     keep = int(round(len(edges) * fraction))
     idx = rng.choice(len(edges), size=keep, replace=False)

@@ -8,9 +8,12 @@ node partition).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.bigraph.graph import BipartiteGraph
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def from_biadjacency(matrix: np.ndarray) -> BipartiteGraph:
@@ -24,6 +27,8 @@ def from_biadjacency(matrix: np.ndarray) -> BipartiteGraph:
     >>> g.n_edges
     3
     """
+    import numpy as np
+
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
@@ -37,6 +42,8 @@ def from_biadjacency(matrix: np.ndarray) -> BipartiteGraph:
 
 def to_biadjacency(graph: BipartiteGraph, dtype=bool) -> np.ndarray:
     """Return the graph's ``|U| x |V|`` biadjacency matrix."""
+    import numpy as np
+
     out = np.zeros((graph.n_u, graph.n_v), dtype=dtype)
     for u, v in graph.edges():
         out[u, v] = 1

@@ -11,8 +11,6 @@ sweeps all strategies below.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bigraph.graph import BipartiteGraph
 
 #: Names accepted by :func:`vertex_order`.
@@ -145,6 +143,8 @@ def _compute_order(
     if strategy == "degeneracy":
         return degeneracy_order(graph)[0]
     if strategy == "random":
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         order = list(range(n))
         rng.shuffle(order)

@@ -32,6 +32,7 @@ from repro.check.oracles import (
     agreement_oracle,
     budget_prefix_oracle,
     kill_resume_oracle,
+    ledger_oracle,
     plan_oracle,
     relabel_oracle,
     setops_oracle,
@@ -44,7 +45,7 @@ from repro.check.shrink import shrink_graph
 #: Oracle names the harness knows how to schedule.
 ALL_ORACLES: tuple[str, ...] = (
     "agreement", "setops", "relabel", "swap", "threshold", "budget_prefix",
-    "kill_resume", "plan",
+    "kill_resume", "ledger", "plan",
 )
 
 #: Run the kill/resume oracle only on every Nth random case — it runs the
@@ -133,6 +134,10 @@ def _case_oracles(
         battery.append(
             ("setops", setops_oracle(seed=rng.randrange(2**16)))
         )
+    if "ledger" in wanted and any(e.name == "parallel" for e in engines):
+        # two inline parallel runs cost little next to agreement's whole
+        # engine pool, so the ledger audit covers dataset cases too
+        battery.append(("ledger", ledger_oracle(engines)))
     if dataset:
         # metamorphic oracles re-run engines several times over; on zoo
         # graphs agreement (all engines, definitional audit) is the value

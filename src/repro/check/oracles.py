@@ -21,6 +21,9 @@ Oracles
                    only incomplete when the cap actually bound.
 ``kill_resume``    kill/resume parity: a checkpointed parallel run killed
                    partway and resumed matches an uninterrupted run.
+``ledger``         parallel task ledger: a run flagged ``complete`` got
+                   back every task handed to the executor, a task split
+                   on retry counting as its replacements.
 ``plan``           planner soundness: the configuration ``repro.plan``
                    picks for the graph enumerates the exact maximal
                    biclique set the reference produces.
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.bigraph.graph import BipartiteGraph
-from repro.core.base import Biclique, run_mbe
+from repro.core.base import Biclique, MBEResult, run_mbe
 from repro.core.verify import VerificationError, verify_result
 from repro.check.engines import EngineSpec
 from repro.runtime.budget import RunBudget
@@ -418,6 +421,60 @@ def setops_oracle(seed: int = 0, max_rows: int = 24) -> Oracle:
     return check
 
 
+def ledger_gap(result: MBEResult) -> str | None:
+    """Why a ``complete`` parallel result is not backed by its task ledger.
+
+    None when the ledger balances, the run is incomplete, or the result
+    carries no ledger (serial engines).
+    """
+    meta = result.meta
+    if not result.complete or "tasks" not in meta:
+        return None
+    handed = meta.get("handed_tasks", 0)
+    growth = meta.get("split_growth", 0)
+    completed = meta.get("completed_tasks", 0)
+    if completed != handed + growth:
+        return (
+            f"flagged complete with {completed} completed tasks, but "
+            f"{handed} were handed to the executor and splits added "
+            f"{growth}"
+        )
+    return None
+
+
+def ledger_oracle(engines: Sequence[EngineSpec]) -> Oracle:
+    """``complete`` implies every parallel task came back completed.
+
+    Runs each ``parallel`` spec twice — plainly, and with the first root
+    crashing once so the retry path (and its re-splits) runs — and audits
+    both results with :func:`ledger_gap`.  Both runs must also end
+    complete: one crash is within every spec's retry budget.
+    """
+    parallel = [e for e in engines if e.name == "parallel"]
+
+    def check(graph: BipartiteGraph) -> OracleFailure | None:
+        victim = next(
+            (v for v in range(graph.n_v) if graph.degree_v(v) > 0), None
+        )
+        for spec in parallel:
+            runs = [spec]
+            if victim is not None:
+                runs.append(spec.with_options(
+                    faults=FaultPlan(crash_tasks=(victim,)),
+                    retry_backoff=0.0,
+                ))
+            for run_spec in runs:
+                result = run_spec.run(graph, collect=False)
+                gap = ledger_gap(result)
+                if gap is None and not result.complete:
+                    gap = f"run ended incomplete: {result.meta}"
+                if gap is not None:
+                    return OracleFailure("ledger", run_spec.label(), gap)
+        return None
+
+    return check
+
+
 def kill_resume_oracle(
     workers: int = 1,
     bound_height: int = 1,
@@ -456,6 +513,9 @@ def kill_resume_oracle(
             second = run_mbe(
                 graph, "parallel", checkpoint=path, **common
             )
+        gap = ledger_gap(second)
+        if gap is not None:
+            return OracleFailure("kill_resume", "parallel", gap)
         if not second.complete:
             return OracleFailure(
                 "kill_resume", "parallel",

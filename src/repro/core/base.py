@@ -61,11 +61,12 @@ class EnumerationStats:
     ``trie_peak_nodes``  peak prefix-tree size (MBET/MBETM only)
     ``trie_overflow``    containment sets that did not fit the trie budget
     ``threshold_pruned`` branches cut by min_left/min_right bounds
-    ``kernel_nodes``     enumeration nodes expanded on the packed-kernel
-                         path (mbet_vec only; ``nodes - kernel_nodes``
-                         ran on the int-mask path)
+    ``kernel_nodes``     nodes expanded on the packed-kernel path
     ``kernel_batches``   batched filter kernel dispatches
     ``kernel_rows``      candidate rows processed by those dispatches
+                         (the three kernel counters stay zero: no engine
+                         runs the packed kernels; they remain so stats
+                         recorded in older checkpoints still load)
     """
 
     __slots__ = (

@@ -73,24 +73,6 @@ _FLUSH_EVERY = 16
 _WORKER: dict = {}
 
 
-def _worker_engine(name: str):
-    """Resolve the per-worker engine class by name.
-
-    Workers run one whole first-level subtree (or a root slice of one)
-    in-process, so any MBET-family engine slots in; lazy imports keep the
-    fork initializer light and avoid import cycles.
-    """
-    if name == "mbet":
-        return MBET
-    if name == "mbet_vec":
-        from repro.core.mbet_vec import MBETVectorized
-
-        return MBETVectorized
-    raise ValueError(
-        f"unknown worker engine {name!r}; expected 'mbet' or 'mbet_vec'"
-    )
-
-
 def subtree_estimate(
     graph: BipartiteGraph, v: int, bound_size: int = 256
 ) -> tuple[int, int]:
@@ -226,12 +208,10 @@ def _init_worker(
     deadline: float | None,
     inline: bool = False,
 ) -> None:
-    options = dict(algo_options)
-    engine = _worker_engine(options.pop("engine", "mbet"))
     _WORKER.update(
         graph=graph,
         rank=rank,
-        algo=engine(**options),
+        algo=MBET(**algo_options),
         collect=collect,
         faults=faults,
         cancel_event=cancel_event,
@@ -384,16 +364,14 @@ class ParallelMBE(MBEAlgorithm):
         min_left: int = 1,
         min_right: int = 1,
         root_range: tuple[int, int] | list[int] | None = None,
-        engine: str = "mbet",
         engine_options: dict | None = None,
     ):
         super().__init__(orient_smaller_v=orient_smaller_v)
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        _worker_engine(engine)  # validate the name up front
         # a mapping or an (hashable) iterable of key/value pairs
         engine_options = dict(engine_options) if engine_options else {}
-        reserved = {"order", "seed", "min_left", "min_right", "engine"}
+        reserved = {"order", "seed", "min_left", "min_right"}
         clash = reserved & set(engine_options)
         if clash:
             raise ValueError(
@@ -432,7 +410,6 @@ class ParallelMBE(MBEAlgorithm):
         self.min_left = min_left
         self.min_right = min_right
         self.root_range = root_range
-        self.engine = engine
         self.engine_options = dict(engine_options)
 
     # The framework hook is unused: run() is overridden wholesale because
@@ -509,7 +486,9 @@ class ParallelMBE(MBEAlgorithm):
             "root_range": (
                 list(self.root_range) if self.root_range is not None else None
             ),
-            "engine": self.engine,
+            # workers always run MBET; the constant keeps checkpoints from
+            # before the worker engine stopped being selectable matching
+            "engine": "mbet",
             "engine_options": dict(sorted(self.engine_options.items())),
             "collect": collect,
         }
@@ -571,7 +550,6 @@ class ParallelMBE(MBEAlgorithm):
         # thresholds are stated in caller coordinates; a swapped work
         # graph swaps which side each one binds
         algo_options = {
-            "engine": self.engine,
             "order": self.order,
             "seed": self.seed,
             "min_left": self.min_right if swapped else self.min_left,
@@ -768,6 +746,10 @@ class ParallelMBE(MBEAlgorithm):
         # -- fold the execution report into the result ---------------------
         stopped: str | None = None
         if report is not None:
+            # the task ledger "complete" is derived from (and the fuzz
+            # ledger oracle audits): handed + split_growth == completed
+            meta["handed_tasks"] = len(tasks)
+            meta["split_growth"] = report.split_growth
             meta["completed_tasks"] = report.completed
             if report.retries:
                 meta["retries"] = report.retries

@@ -1,10 +1,10 @@
-"""Cost-model-driven planning: pick engine, ordering, parallelism, budget.
+"""Planning: serial MBET or the process pool, the budget, the fallbacks.
 
 See :mod:`repro.plan.features` (graph signatures),
-:mod:`repro.plan.model` (the calibrated cost model and the canonical
-admission estimator) and :mod:`repro.plan.planner` (candidate ranking
-and the explainable :class:`Plan`).  ``docs/planning.md`` walks through
-the model and the recalibration workflow.
+:mod:`repro.plan.model` (the MBET work model and the canonical
+admission estimator) and :mod:`repro.plan.planner` (the explainable
+:class:`Plan`).  ``docs/planning.md`` walks through the model and the
+recalibration workflow.
 """
 
 from repro.plan.features import (
@@ -14,13 +14,11 @@ from repro.plan.features import (
     extract_features,
 )
 from repro.plan.model import (
-    DEFAULT_COEFFICIENTS,
     MODEL_VERSION,
     CostModel,
     cost_from_stats,
     estimate_cost,
-    feature_basis,
-    fit_coefficients,
+    fit_work_model,
 )
 from repro.plan.planner import (
     PLANNER_ENGINES,
@@ -34,7 +32,6 @@ from repro.plan.planner import (
 )
 
 __all__ = [
-    "DEFAULT_COEFFICIENTS",
     "FEATURES_VERSION",
     "MODEL_VERSION",
     "PLANNER_ENGINES",
@@ -48,8 +45,7 @@ __all__ = [
     "cost_from_stats",
     "estimate_cost",
     "extract_features",
-    "feature_basis",
-    "fit_coefficients",
+    "fit_work_model",
     "recommend_slices",
     "recommend_straggler_factor",
     "root_cost_estimates",

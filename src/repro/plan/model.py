@@ -4,29 +4,29 @@ Two jobs live here:
 
 * **Admission pre-flight.**  :func:`estimate_cost` is the canonical
   ``|E| · max(1, D₂)`` work estimate — the shape of the MBET bound with
-  the graph quantities a pre-flight *can* afford to compute.  It used to
-  be duplicated in ``repro.serve.queue``; serve and the artifact store's
-  ``cost`` producer now both delegate here, so there is exactly one
-  definition of "how expensive does this graph look".
+  the graph quantities a pre-flight *can* afford to compute.  Serve and
+  the artifact store's ``cost`` producer both delegate here, so there is
+  exactly one definition of "how expensive does this graph look".
 
-* **Runtime prediction.**  :class:`CostModel` predicts wall-clock
-  seconds per ``(engine, features)`` with a log-linear model::
+* **Runtime prediction.**  :class:`CostModel` predicts MBET's wall-clock
+  seconds from the edge count alone, with a two-constant power law::
 
-      log t  =  c · φ(features)
+      t  =  WORK_SCALE · |E| ** WORK_EXPONENT
 
-  over the basis ``φ = (1, log1p|E|, log1p(cost), log1p(skew),
-  density, log1p(D₂))``.  The model is *seeded* with analytic
-  coefficients (the work-bound shape with a unit-cost scale) and
-  *calibrated* by :func:`fit_coefficients` — a ridge least-squares fit
-  over the crossover records a ``BENCH_*.json`` snapshot carries
-  (``tools/bench_snapshot.py`` measures zoo graphs × registry engines).
-  The committed defaults below were fit from the committed snapshot;
-  ``docs/planning.md`` describes the recalibration workflow.
+  fit by :func:`fit_work_model` — least squares in log space over the
+  ``mbet`` cells of the crossover matrix a ``BENCH_*.json`` snapshot
+  carries (``tools/bench_snapshot.py --crossover-*``).  There is no
+  density term on purpose: zoo densities span only 0.001–0.04, so a
+  fitted density weight is free to explode off the zoo (an earlier
+  six-feature fit predicted 1.5e6 s for a 12-edge graph).  The MBET
+  engines run within noise of each other, so the same prediction scores
+  every serial engine; the planner orders them by its fallback chain,
+  not by score.
 
-The ``parallel`` engine is predicted relative to the best serial
-estimate: dispatch overhead plus the serial time divided by an effective
-speedup of ``0.7 × cores`` — on a single-core host it therefore never
-wins, which matches measurement (R-F9).
+The ``parallel`` engine is predicted as dispatch overhead plus the
+serial time divided by an effective speedup of ``0.7 × cores`` — on a
+single-core host it therefore never wins, which matches measurement
+(R-F9).
 """
 
 from __future__ import annotations
@@ -42,15 +42,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CostModel",
-    "DEFAULT_COEFFICIENTS",
     "MODEL_VERSION",
+    "WORK_EXPONENT",
+    "WORK_SCALE",
     "cost_from_stats",
     "estimate_cost",
-    "feature_basis",
-    "fit_coefficients",
+    "fit_work_model",
 ]
 
-MODEL_VERSION = "v1"
+MODEL_VERSION = "v2"
+
+#: ``t = WORK_SCALE · |E| ** WORK_EXPONENT``, fit by :func:`fit_work_model`
+#: to the ``mbet`` cells of the committed ``BENCH_2026-08-08a.json``
+#: crossover matrix (13 zoo graphs, 3k–44k edges).  On those rows the
+#: median error is 2.3× and the worst under-prediction 5.6× (dbt), which
+#: the planner's 20× budget headroom absorbs.
+WORK_SCALE = 8.891e-06
+WORK_EXPONENT = 1.2179
 
 #: Fixed per-task overhead of the process-pool engine (pool spin-up,
 #: graph shipping, result marshalling), in seconds.
@@ -82,140 +90,55 @@ def estimate_cost(graph: "BipartiteGraph") -> int:
 
 # -- runtime prediction -----------------------------------------------------
 
-def feature_basis(features: PlanFeatures) -> list[float]:
-    """The model's basis vector φ(features) (first entry is the bias)."""
-    return [
-        1.0,
-        math.log1p(features.n_edges),
-        math.log1p(features.cost),
-        math.log1p(features.degree_skew),
-        features.density,
-        math.log1p(features.max_two_hop),
-    ]
-
-
-#: Analytic seed: ``t ≈ 50ns · |E| · D₂`` — a unit-cost reading of the
-#: work bound.  In basis terms: bias ``ln(5e-8)``, unit weight on
-#: ``log1p(cost)``, zero elsewhere.  Used for any engine the calibrated
-#: table below does not cover.
-ANALYTIC_SEED: tuple[float, ...] = (
-    math.log(5e-8), 0.0, 1.0, 0.0, 0.0, 0.0
-)
-
-#: Calibrated per-engine coefficients, fit by :func:`fit_coefficients`
-#: from the crossover matrix in the committed ``BENCH_2026-08-08a.json``
-#: snapshot (13 zoo graphs × 8 engines at a 15s budget, with ``mbet_vec``
-#: on the batched kernel layer; see ``docs/planning.md`` for the
-#: recalibration workflow).
-DEFAULT_COEFFICIENTS: dict[str, tuple[float, ...]] = {
-    "imbea": (-13.80619, 0.93536, 0.810028, 1.001548, 29.246492, -1.433221),
-    "mbea": (-11.188191, 0.632014, 0.71818, 0.561571, 32.824558, -1.033809),
-    "mbet": (-12.571888, 0.725369, 0.744103, 0.442181, 38.936554, -1.195343),
-    "mbet_iter": (
-        -11.010318, 0.605405, 0.717159, 0.335269, 39.086724, -1.140103
-    ),
-    "mbet_vec": (
-        -12.481754, 0.709531, 0.756353, 0.402641, 39.163125, -1.186208
-    ),
-    "mbetm": (
-        -11.534497, 0.67563, 0.705697, 0.452464, 40.998957, -1.197739
-    ),
-    "oombea": (
-        -13.045556, 0.471648, 0.872443, 0.868397, 50.000447, -1.148559
-    ),
-    "pmbe": (
-        -14.025894, 0.730818, 0.887183, 0.831172, 36.310934, -1.299066
-    ),
-}
-
-
 class CostModel:
     """Scores ``(engine, features)`` pairs in predicted wall-clock seconds."""
 
-    def __init__(
-        self,
-        coefficients: Mapping[str, Iterable[float]] | None = None,
-        n_cores: int | None = None,
-    ):
-        base = coefficients if coefficients is not None else DEFAULT_COEFFICIENTS
-        self.coefficients: dict[str, tuple[float, ...]] = {
-            engine: tuple(float(c) for c in coef)
-            for engine, coef in base.items()
-        }
+    def __init__(self, n_cores: int | None = None):
         if n_cores is None:
             import os
 
             n_cores = os.cpu_count() or 1
         self.n_cores = max(1, int(n_cores))
 
+    def serial_seconds(self, features: PlanFeatures) -> float:
+        """Predicted seconds of one serial MBET run on ``features``."""
+        return WORK_SCALE * max(1, features.n_edges) ** WORK_EXPONENT
+
     def predict_seconds(self, engine: str, features: PlanFeatures) -> float:
         """Predicted wall-clock seconds for ``engine`` on ``features``."""
-        if engine == "parallel":
-            return self._predict_parallel(features)
-        phi = feature_basis(features)
-        coef = self.coefficients.get(engine, ANALYTIC_SEED)
-        log_t = sum(c * x for c, x in zip(coef, phi))
-        # clamp to a sane range so a wild extrapolation cannot overflow
-        return math.exp(min(25.0, max(-25.0, log_t)))
-
-    def _predict_parallel(self, features: PlanFeatures) -> float:
-        serial = min(
-            (
-                self.predict_seconds(e, features)
-                for e in self.coefficients
-                if e != "parallel"
-            ),
-            default=self.predict_seconds("mbet", features),
-        )
+        serial = self.serial_seconds(features)
+        if engine != "parallel":
+            return serial
         speedup = max(1.0, PARALLEL_EFFICIENCY * self.n_cores)
         return PARALLEL_OVERHEAD_SECONDS + serial / speedup
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "version": MODEL_VERSION,
-            "n_cores": self.n_cores,
-            "coefficients": {
-                k: list(v) for k, v in sorted(self.coefficients.items())
-            },
-        }
 
-
-def fit_coefficients(
+def fit_work_model(
     records: Iterable[Mapping[str, Any]],
-    ridge: float = 1e-3,
-) -> dict[str, tuple[float, ...]]:
-    """Fit per-engine coefficients from crossover records.
+) -> tuple[float, float]:
+    """Fit ``(scale, exponent)`` to the ``mbet`` cells of crossover records.
 
     Each record needs ``engine``, ``elapsed``, ``complete`` and a
     ``features`` dict (the shape ``tools/bench_snapshot.py`` writes in
     its ``crossover`` section).  Incomplete (budget-truncated) rows are
     skipped — a truncated elapsed is a lower bound, not a measurement.
-    Engines with fewer rows than basis dimensions still fit thanks to
-    the ridge term, but the fit honestly degrades toward the seed scale.
+    Raises ``ValueError`` when fewer than two distinct edge counts
+    remain, since a line needs two points.
     """
-    import numpy as np
-
-    by_engine: dict[str, list[tuple[list[float], float]]] = {}
-    for rec in records:
-        if not rec.get("complete", False):
-            continue
-        elapsed = float(rec["elapsed"])
-        if elapsed <= 0.0:
-            continue
-        features = PlanFeatures.from_dict(rec["features"])
-        by_engine.setdefault(str(rec["engine"]), []).append(
-            (feature_basis(features), math.log(elapsed))
+    points = [
+        (math.log(max(1, int(rec["features"]["n_edges"]))),
+         math.log(float(rec["elapsed"])))
+        for rec in records
+        if rec.get("engine") == "mbet" and rec.get("complete", False)
+        and float(rec["elapsed"]) > 0.0
+    ]
+    if len({x for x, _ in points}) < 2:
+        raise ValueError(
+            "need complete 'mbet' cells on at least two edge counts"
         )
-    out: dict[str, tuple[float, ...]] = {}
-    for engine, rows in sorted(by_engine.items()):
-        phi = np.array([r[0] for r in rows], dtype=float)
-        y = np.array([r[1] for r in rows], dtype=float)
-        dim = phi.shape[1]
-        # ridge-regularised normal equations, centred on the analytic
-        # seed so sparse engines shrink toward it instead of toward zero
-        seed = np.array(ANALYTIC_SEED[:dim], dtype=float)
-        lhs = phi.T @ phi + ridge * np.eye(dim)
-        rhs = phi.T @ y + ridge * seed
-        coef = np.linalg.solve(lhs, rhs)
-        out[engine] = tuple(round(float(c), 6) for c in coef)
-    return out
+    mean_x = sum(x for x, _ in points) / len(points)
+    mean_y = sum(y for _, y in points) / len(points)
+    sxx = sum((x - mean_x) ** 2 for x, _ in points)
+    exponent = sum((x - mean_x) * (y - mean_y) for x, y in points) / sxx
+    scale = math.exp(mean_y - exponent * mean_x)
+    return float(f"{scale:.4g}"), round(exponent, 4)

@@ -1,14 +1,23 @@
-"""The engine planner: score candidates, pick one, explain the choice.
+"""The planner: serial MBET or the process pool, the budget, the fallbacks.
 
 :func:`build_plan` turns a graph (or a precomputed
 :class:`~repro.plan.features.PlanFeatures` signature) into an
-explainable :class:`Plan`: every candidate ``(engine, ordering,
-parallelism)`` the registry offers is scored by the cost model
-(:mod:`repro.plan.model`), ineligible candidates are kept with the
-reason they were rejected, and live circuit-breaker state composes in
-as *demotion* — an engine whose breaker is open keeps its score but
-ranks after every healthy candidate, so the service tries it last
-rather than never.
+explainable :class:`Plan`.  The measurements support two decisions and
+the planner makes exactly those:
+
+* **serial ``mbet`` vs ``parallel``** — the process pool is eligible
+  only on a multi-core host when the work model
+  (:mod:`repro.plan.model`) predicts at least
+  :data:`PARALLEL_WORTHWHILE_SECONDS` of serial work, and then leads;
+* **the budget** — :data:`BUDGET_HEADROOM` × the chosen prediction,
+  clamped to ``[BUDGET_FLOOR_SECONDS, BUDGET_CEIL_SECONDS]``.
+
+Everything else keeps the order of :data:`SERIAL_CHAIN`: ``mbet``, then
+``imbea``, a baseline that shares no enumeration code with MBET.
+Ineligible candidates are kept with the reason they were rejected, and
+live circuit-breaker state composes in as *demotion* — an engine whose
+breaker is open ranks after every healthy candidate, so the service
+tries it last rather than never.
 
 The ranked chain (:meth:`Plan.engine_chain`) is what ``repro serve``
 executes in place of its old hardcoded fallback chain; ``repro run``
@@ -41,13 +50,14 @@ __all__ = [
     "root_cost_estimates",
 ]
 
-#: Engines the planner considers, in tie-break preference order.
-#: ``bruteforce`` and ``naive`` are reference baselines, deliberately
-#: absent: they exist to check answers, not to serve traffic.
-PLANNER_ENGINES: tuple[str, ...] = (
-    "mbet_vec", "mbet", "mbet_iter", "mbetm", "imbea", "mbea", "pmbe",
-    "oombea", "parallel",
-)
+#: The serial fallback chain, in order: the paper's engine, then a
+#: baseline that shares no enumeration code with it.
+SERIAL_CHAIN: tuple[str, ...] = ("mbet", "imbea")
+
+#: Engines the planner considers by default.  ``bruteforce`` and
+#: ``naive`` are reference baselines, deliberately absent: they exist to
+#: check answers, not to serve traffic.
+PLANNER_ENGINES: tuple[str, ...] = (*SERIAL_CHAIN, "parallel")
 
 #: Graphs below this many edges pick ``natural`` ordering: enumeration is
 #: microseconds either way and the degree sort would dominate.
@@ -55,7 +65,7 @@ TINY_EDGE_COUNT = 64
 
 #: Predicted seconds of serial work above which the process-pool engine
 #: is worth its dispatch overhead (given more than one core).
-PARALLEL_WORTTHWHILE_SECONDS = 5.0
+PARALLEL_WORTHWHILE_SECONDS = 5.0
 
 #: Budget headroom: recommended time limit = ``HEADROOM ×`` prediction,
 #: clamped to ``[BUDGET_FLOOR, BUDGET_CEIL]`` seconds.  Generous on
@@ -98,12 +108,16 @@ class Plan:
     """The planner's explainable output for one job."""
 
     features: PlanFeatures
-    #: ranked: eligible candidates by (demoted, score), then ineligible
+    #: ranked: eligible candidates (healthy first, an eligible pool
+    #: leading, else pool order), then ineligible
     candidates: list[PlanCandidate]
     budget_seconds: float
     graph_key: str | None = None
     model_version: str = MODEL_VERSION
     n_cores: int = 1
+    #: the work model's serial MBET prediction, which scores any serial
+    #: engine (in the pool or not)
+    serial_seconds: float = 0.0
 
     @property
     def chosen(self) -> PlanCandidate:
@@ -118,11 +132,12 @@ class Plan:
         return [c.engine for c in self.candidates if c.eligible]
 
     def predicted_seconds_for(self, engine: str) -> float | None:
-        """The scored prediction for ``engine``, or None if unknown."""
+        """The scored prediction for ``engine``; a serial engine the plan
+        did not score gets :attr:`serial_seconds`, ``parallel`` None."""
         for cand in self.candidates:
-            if cand.engine == engine:
+            if cand.engine == engine and cand.predicted_seconds is not None:
                 return cand.predicted_seconds
-        return None
+        return None if engine == "parallel" else self.serial_seconds
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -132,6 +147,7 @@ class Plan:
             "features": self.features.as_dict(),
             "chosen": self.chosen.as_dict(),
             "budget_seconds": self.budget_seconds,
+            "serial_seconds": self.serial_seconds,
             "candidates": [c.as_dict() for c in self.candidates],
         }
 
@@ -197,6 +213,32 @@ def _pick_ordering(features: PlanFeatures) -> tuple[str, str]:
     )
 
 
+def _rejection(
+    engine: str, model: CostModel, serial: float, thresholds: str | None
+) -> str | None:
+    """Why ``engine`` cannot run this job, or None when it can."""
+    import inspect
+
+    from repro.core.base import ALGORITHMS
+
+    if thresholds is not None and (
+        "min_left" not in inspect.signature(ALGORITHMS[engine]).parameters
+    ):
+        return f"job sets size thresholds ({thresholds}) this engine " \
+            f"cannot enforce"
+    if engine != "parallel":
+        return None
+    if model.n_cores <= 1:
+        return "single-core host: the process pool is pure overhead"
+    if serial < PARALLEL_WORTHWHILE_SECONDS:
+        return (
+            f"serial estimate {serial:.2f}s is under the "
+            f"{PARALLEL_WORTHWHILE_SECONDS:.0f}s bar where pool dispatch "
+            f"pays off"
+        )
+    return None
+
+
 def build_plan(
     graph: "BipartiteGraph | None" = None,
     *,
@@ -210,19 +252,16 @@ def build_plan(
     model: CostModel | None = None,
     n_cores: int | None = None,
 ) -> Plan:
-    """Plan one job: extract features, score candidates, rank, explain.
+    """Plan one job: extract features, decide serial vs pool, explain.
 
     ``features`` short-circuits extraction; otherwise a ``store`` (plus
     ``graph_key``) answers repeat planning from the persisted feature
     cache, and a bare ``graph`` is scanned directly.  ``breaker_states``
     (engine → ``closed|half_open|open``) demotes open-breaker engines to
-    the back of the eligible ranking.  ``engines`` restricts the
-    candidate pool (default: every registry engine the planner serves).
+    the back of the eligible ranking.  ``engines`` replaces the
+    candidate pool (default :data:`PLANNER_ENGINES`); its order is the
+    fallback order.
     """
-    import inspect
-
-    from repro.core.base import ALGORITHMS
-
     if features is None:
         if graph is None:
             raise ValueError("build_plan needs a graph or its features")
@@ -236,59 +275,25 @@ def build_plan(
             features = extract_features(graph)
     model = model if model is not None else CostModel(n_cores=n_cores)
     ordering, ordering_reason = _pick_ordering(features)
-    needs_thresholds = min_left > 1 or min_right > 1
+    serial = model.serial_seconds(features)
+    thresholds = (
+        f"{min_left}x{min_right}" if min_left > 1 or min_right > 1 else None
+    )
     breaker_states = breaker_states or {}
 
     eligible: list[PlanCandidate] = []
     rejected: list[PlanCandidate] = []
     for engine in _candidate_engines(engines):
+        workers = model.n_cores if engine == "parallel" else 1
+        why_not = _rejection(engine, model, serial, thresholds)
+        if why_not is not None:
+            rejected.append(PlanCandidate(
+                engine=engine, ordering=ordering, workers=workers,
+                predicted_seconds=None, eligible=False, reasons=[why_not],
+            ))
+            continue
         reasons: list[str] = []
-        workers = 1
         if engine == "parallel":
-            workers = model.n_cores
-        if needs_thresholds:
-            params = inspect.signature(ALGORITHMS[engine]).parameters
-            if "min_left" not in params:
-                rejected.append(PlanCandidate(
-                    engine=engine, ordering=ordering, workers=workers,
-                    predicted_seconds=None, eligible=False,
-                    reasons=[
-                        f"job sets size thresholds ({min_left}x{min_right}) "
-                        f"this engine cannot enforce"
-                    ],
-                ))
-                continue
-        predicted = model.predict_seconds(engine, features)
-        if engine == "parallel":
-            if model.n_cores <= 1:
-                rejected.append(PlanCandidate(
-                    engine=engine, ordering=ordering, workers=workers,
-                    predicted_seconds=predicted, eligible=False,
-                    reasons=["single-core host: the process pool is pure "
-                             "overhead"],
-                ))
-                continue
-            serial_best = min(
-                (
-                    c.predicted_seconds for c in eligible
-                    if c.predicted_seconds is not None
-                ),
-                default=None,
-            )
-            if (
-                serial_best is not None
-                and serial_best < PARALLEL_WORTTHWHILE_SECONDS
-            ):
-                rejected.append(PlanCandidate(
-                    engine=engine, ordering=ordering, workers=workers,
-                    predicted_seconds=predicted, eligible=False,
-                    reasons=[
-                        f"serial estimate {serial_best:.2f}s is under the "
-                        f"{PARALLEL_WORTTHWHILE_SECONDS:.0f}s bar where "
-                        f"pool dispatch pays off"
-                    ],
-                ))
-                continue
             reasons.append(
                 f"{model.n_cores} cores available and serial estimate "
                 f"crosses the parallel bar"
@@ -297,13 +302,10 @@ def build_plan(
         if demoted:
             reasons.append("circuit breaker open: demoted behind healthy "
                            "engines")
-        if engine not in model.coefficients and engine != "parallel":
-            reasons.append("no calibrated coefficients: scored by the "
-                           "analytic seed")
         eligible.append(PlanCandidate(
             engine=engine, ordering=ordering, workers=workers,
-            predicted_seconds=predicted, eligible=True, demoted=demoted,
-            reasons=reasons,
+            predicted_seconds=model.predict_seconds(engine, features),
+            eligible=True, demoted=demoted, reasons=reasons,
         ))
 
     if not eligible:
@@ -311,22 +313,15 @@ def build_plan(
             "no eligible engine: the candidate pool is empty for these "
             "constraints"
         )
-    pool_order = {e: i for i, e in enumerate(_candidate_engines(engines))}
-    if features.n_edges < TINY_EDGE_COUNT:
-        # below the calibration domain the fitted coefficients are pure
-        # extrapolation (zoo graphs are orders of magnitude larger and
-        # sparser); every engine finishes in microseconds there, so rank
-        # by static pool preference instead of by noise
-        eligible.sort(key=lambda c: (c.demoted, pool_order[c.engine]))
-        eligible[0].reasons.append(
-            f"tiny graph ({features.n_edges} edges): predictions are "
-            f"extrapolation; ranked by pool preference"
-        )
-    else:
-        eligible.sort(key=lambda c: (
-            c.demoted, c.predicted_seconds, pool_order[c.engine]
-        ))
+    # healthy before demoted; an eligible pool leads; otherwise the pool
+    # order is the fallback order (the sort is stable)
+    eligible.sort(key=lambda c: (c.demoted, c.engine != "parallel"))
     chosen = eligible[0]
+    if chosen.engine != "parallel":
+        chosen.reasons.insert(0, (
+            "first healthy engine of the chain (ranked by pool preference: "
+            "one work model scores every serial engine alike)"
+        ))
     chosen.reasons.insert(0, ordering_reason)
     budget = min(
         BUDGET_CEIL_SECONDS,
@@ -340,6 +335,7 @@ def build_plan(
         graph_key=graph_key,
         model_version=MODEL_VERSION,
         n_cores=model.n_cores,
+        serial_seconds=serial,
     )
 
 

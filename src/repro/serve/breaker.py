@@ -15,10 +15,10 @@ three-state breaker:
   Success closes the breaker; failure reopens it (and restarts the
   cooldown).
 
-The default fallback chain mirrors the engines' robustness ordering:
-``mbet_vec`` (fastest, needs numpy and the widest native surface) →
-``mbet`` (pure-Python reference) → ``mbea`` (the simplest baseline).
-A requested engine outside the chain is tried first, then the chain.
+The default fallback chain is the planner's: ``mbet`` (the paper's
+engine) → ``imbea`` (a baseline that shares no enumeration code with
+it).  A requested engine outside the chain is tried first, then the
+chain.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ import threading
 import time
 from typing import Callable, Iterable
 
+from repro.plan.planner import SERIAL_CHAIN
+
 __all__ = ["BreakerOpen", "BreakerRegistry", "CircuitBreaker", "FALLBACK_CHAIN"]
 
 #: Engines tried, in order, after the requested one (de-duplicated).
-FALLBACK_CHAIN = ("mbet_vec", "mbet", "mbea")
+FALLBACK_CHAIN = SERIAL_CHAIN
 
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 

@@ -47,7 +47,7 @@ class JobSpec:
     ``--allow-faults``.
     """
 
-    engine: str = "mbet_vec"
+    engine: str = "mbet"
     dataset: str | None = None
     graph_path: str | None = None
     edges: list | None = None

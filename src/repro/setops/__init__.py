@@ -24,24 +24,15 @@ This package provides the three representations those algorithms use:
     Batched uint64-word bitmap kernels: whole candidate batches are
     packed into ``(n, words)`` matrices and intersected/classified in a
     handful of numpy dispatches, with a word-level realization of the
-    merge-path partitioned union.  This is the hot-path backend of
-    :class:`repro.core.mbet_vec.MBETVectorized` and the packed side of
-    :meth:`SignatureSpace.encode_rows`.
+    merge-path partitioned union.  A library, not an enumeration path:
+    no engine calls it.  It backs the packed side of
+    :meth:`SignatureSpace.encode_rows` and is imported from
+    :mod:`repro.setops.kernels` directly, so importing this package
+    does not import numpy.
 """
 
-from repro.setops import kernels
 from repro.setops.bitmap import Bitmap, SignatureSpace
 from repro.setops.intersect_path import merge_path_partitions, partitioned_union
-from repro.setops.kernels import (
-    filter_batch,
-    kernel_meta,
-    pack_masks,
-    partitioned_union_rows,
-    popcount_backend,
-    popcount_rows,
-    unpack_masks,
-    words_for,
-)
 from repro.setops.sorted_ops import (
     galloping_intersect,
     intersect,
@@ -57,24 +48,15 @@ from repro.setops.sorted_ops import (
 __all__ = [
     "Bitmap",
     "SignatureSpace",
-    "filter_batch",
     "galloping_intersect",
     "intersect",
     "intersect_size",
     "is_strict_subset",
     "is_subset",
-    "kernel_meta",
-    "kernels",
     "merge_path_partitions",
     "multi_intersect",
-    "pack_masks",
     "partitioned_union",
-    "partitioned_union_rows",
-    "popcount_backend",
-    "popcount_rows",
     "set_difference",
     "union",
     "union_many",
-    "unpack_masks",
-    "words_for",
 ]

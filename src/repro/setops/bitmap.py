@@ -186,8 +186,7 @@ class SignatureSpace:
     # For universes wider than a machine word, Python-int masks pay
     # arbitrary-precision arithmetic per operation.  The methods below
     # expose the same encode/decode bijection as ``(n, words)`` uint64
-    # row batches consumable by :mod:`repro.setops.kernels`, so an
-    # engine can choose int-mask vs packed-kernel per subtree.
+    # row batches consumable by :mod:`repro.setops.kernels`.
 
     @property
     def words(self) -> int:

@@ -1,4 +1,9 @@
-"""Batched uint64-word bitmap kernels for the enumeration hot path.
+"""Batched uint64-word bitmap kernels: a library, not an enumeration path.
+
+No engine calls these kernels (a kernel-backed MBET ran within noise of
+the Python-int search on every zoo graph and was removed; see
+``docs/performance.md``).  Importing this module imports numpy, which
+is why :mod:`repro.setops` does not re-export it.
 
 The GPU line this paper spawned (GMBE and its successors) wins by doing
 set operations on *packed bitmap words* — one 64-element chunk of the

@@ -17,7 +17,7 @@ from repro import BipartiteGraph, Biclique
 
 #: All registered exact algorithms that must agree with brute force.
 EXACT_ALGORITHMS = (
-    "naive", "mbea", "imbea", "pmbe", "oombea", "mbet", "mbet_iter", "mbet_vec", "mbetm"
+    "naive", "mbea", "imbea", "pmbe", "oombea", "mbet", "mbetm"
 )
 
 

@@ -79,7 +79,7 @@ class TestOraclesPassOnCorrectEngines:
         rng = random.Random(5)
         specs = [
             EngineSpec.make("mbet"),
-            EngineSpec.make("mbet_vec"),
+            EngineSpec.make("mbetm"),
             EngineSpec.make(
                 "parallel", workers=1, bound_height=1, bound_size=1
             ),
@@ -130,6 +130,30 @@ class TestOraclesCatchBugs:
         )(g0)
         assert failure is not None
         assert failure.oracle == "budget_prefix"
+
+    def test_ledger_catches_a_dropped_task_marked_complete(self, g0):
+        from repro.check.oracles import ledger_oracle
+        from repro.core.parallel import ParallelMBE
+
+        # a parallel engine that loses one task's report yet still
+        # claims the run is complete
+        class DroppingParallel(ParallelMBE):
+            def run(self, graph, **kwargs):
+                result = super().run(graph, **kwargs)
+                result.meta["completed_tasks"] -= 1
+                return result
+
+        spec = EngineSpec.make(
+            "parallel", factory=DroppingParallel, workers=1
+        )
+        failure = ledger_oracle([spec])(g0)
+        assert failure is not None
+        assert failure.oracle == "ledger"
+        assert "handed to the executor" in failure.detail
+        # the honest engine balances its ledger on the same graph
+        assert ledger_oracle([EngineSpec.make("parallel", workers=1)])(
+            g0
+        ) is None
 
 
 class TestShrink:
@@ -204,7 +228,7 @@ class TestHarness:
         report = run_fuzz(
             FuzzConfig(
                 seed=0, max_cases=0, datasets=("mti",),
-                engines=("mbet", "mbet_vec"),
+                engines=("mbet", "mbetm"),
             )
         )
         assert report.ok

@@ -140,6 +140,35 @@ class TestRunSignals:
         assert (tmp_path / "out.tsv").exists()
 
 
+class TestImportCost:
+    """numpy is imported only by the code paths that need it."""
+
+    def test_cli_import_and_default_run_skip_numpy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            os.path.join(repo, "src") + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        graph = tmp_path / "g0.txt"
+        write_edge_list(make_g0(), graph)
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "assert 'numpy' not in sys.modules, 'import repro.cli'\n"
+            f"assert repro.cli.main(['run', '--input', {str(graph)!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'repro run'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=repo, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestRunObservability:
     def test_run_stderr_summary_without_output(self, g0_file, capsys):
         assert main(["run", "--input", g0_file, "-a", "mbet"]) == 0
@@ -342,6 +371,6 @@ class TestFuzzCommand:
     def test_dataset_run(self, capsys):
         assert main(
             ["fuzz", "--cases", "0", "--datasets", "mti",
-             "--engines", "mbet,mbet_vec", "--seed", "0"]
+             "--engines", "mbet,mbetm", "--seed", "0"]
         ) == 0
         assert "1 cases" in capsys.readouterr().out

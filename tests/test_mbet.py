@@ -117,6 +117,23 @@ class TestListQStore:
         assert store.checks == 2
 
 
+class TestDeepSearch:
+    def test_deep_chain_runs_recursively_and_restores_the_limit(self):
+        # a nested-neighbourhood chain drives the search depth to n; the
+        # driver raises the recursion limit for the run and restores it
+        import sys
+
+        from repro import BipartiteGraph
+
+        n = 400
+        edges = [(u, v) for v in range(n) for u in range(v, n)]
+        g = BipartiteGraph(edges, n_u=n, n_v=n)
+        limit = sys.getrecursionlimit()
+        result = run_mbe(g, "mbet", collect=False, order="natural")
+        assert sys.getrecursionlimit() == limit
+        assert result.count == n  # nested chain: one biclique per level
+
+
 class TestMBETConstruction:
     def test_default_flags(self):
         algo = MBET()

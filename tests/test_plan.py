@@ -4,15 +4,17 @@ Pinned here, mirroring docs/planning.md:
 
 * feature extraction matches the stats/components the bigraph layer
   computes, and the persisted feature cache hits on repeat planning;
-* the cost model's calibrated coefficients rank the mbet family ahead
-  of the pivot baselines on zoo-scale features, and the analytic seed
-  covers engines the calibration never measured;
+* the work model is one power law in the edge count that scores every
+  serial engine alike, and its fit recovers planted constants;
 * golden plans: on zoo graphs the chosen engine is one the crossover
-  matrix actually measured as competitive;
+  matrix actually measured as competitive, and the budget leaves at
+  least 3x headroom over the measured mbet time;
+* off the zoo (tiny, dense random, planted) the plan is serial mbet with
+  the floor budget and no absurd prediction;
 * plan mechanics: threshold-incapable engines are ineligible when the
   job sets thresholds, open breakers demote without disqualifying,
-  tiny graphs rank by pool preference, parallel needs cores and
-  enough predicted serial work;
+  engines rank by pool preference, parallel needs cores and enough
+  predicted serial work;
 * the ``repro plan`` CLI prints the chosen configuration, ``--explain``
   lists every candidate with a status and reasons, ``--json`` emits the
   machine-readable plan;
@@ -23,7 +25,6 @@ Pinned here, mirroring docs/planning.md:
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
@@ -33,7 +34,6 @@ from repro.bigraph.stats import compute_stats
 from repro.cli import main
 from repro.core.base import run_mbe
 from repro.plan import (
-    DEFAULT_COEFFICIENTS,
     PLANNER_ENGINES,
     CostModel,
     PlanError,
@@ -41,13 +41,28 @@ from repro.plan import (
     cached_features,
     estimate_cost,
     extract_features,
-    fit_coefficients,
+    fit_work_model,
     recommend_slices,
     recommend_straggler_factor,
     root_cost_estimates,
 )
 from repro.plan.features import FEATURES_VERSION, PlanFeatures
 from tests.conftest import make_g0
+
+
+def _committed_crossover() -> list[dict]:
+    """The crossover cells of the newest committed BENCH snapshot."""
+    import glob
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+    assert paths, "no committed BENCH_*.json snapshot"
+    with open(paths[-1]) as handle:
+        doc = json.load(handle)
+    cells = doc.get("crossover", {}).get("cells", [])
+    assert cells, "snapshot carries no crossover matrix"
+    return cells
 
 
 def _zoo_features(**overrides) -> PlanFeatures:
@@ -110,27 +125,31 @@ class TestFeatures:
 
 class TestCostModel:
     def test_calibrated_engines_cover_the_serial_pool(self):
-        serial = [e for e in PLANNER_ENGINES if e != "parallel"]
-        assert set(DEFAULT_COEFFICIENTS) == set(serial)
-
-    def test_zoo_scale_ranking_prefers_mbet_family(self):
+        # one work model, no per-engine table: every serial engine in the
+        # pool gets the same calibrated MBET prediction
         model = CostModel(n_cores=1)
         feats = _zoo_features()
-        preds = {
-            e: model.predict_seconds(e, feats)
-            for e in DEFAULT_COEFFICIENTS
-        }
-        fastest3 = sorted(preds, key=preds.get)[:3]
-        assert set(fastest3) <= {"mbet", "mbet_iter", "mbetm", "mbet_vec"}
-        assert preds["mbea"] > preds["mbet"]
+        serial = [e for e in PLANNER_ENGINES if e != "parallel"]
+        preds = {model.predict_seconds(e, feats) for e in serial}
+        assert preds == {model.serial_seconds(feats)}
 
-    def test_uncalibrated_engine_scored_by_analytic_seed(self):
-        model = CostModel({}, n_cores=1)
+    def test_zoo_scale_ranking_prefers_mbet_family(self):
+        plan = build_plan(features=_zoo_features(), n_cores=1)
+        chain = plan.engine_chain()
+        assert chain[0] == "mbet"
+        assert chain[-1] == "imbea"
+
+    def test_prediction_is_a_power_law_in_edges_alone(self):
+        from repro.plan.model import WORK_EXPONENT, WORK_SCALE
+
+        model = CostModel(n_cores=1)
         feats = _zoo_features()
-        got = model.predict_seconds("never_measured", feats)
-        assert got == pytest.approx(
-            5e-8 * math.expm1(math.log1p(feats.cost)), rel=1e-6
+        assert model.serial_seconds(feats) == pytest.approx(
+            WORK_SCALE * feats.n_edges ** WORK_EXPONENT
         )
+        # no density (or any other) term: only the edge count matters
+        denser = _zoo_features(density=0.9, cost=10**12, degree_skew=500.0)
+        assert model.serial_seconds(denser) == model.serial_seconds(feats)
 
     def test_parallel_prediction_needs_cores_to_win(self):
         feats = _zoo_features()
@@ -142,40 +161,34 @@ class TestCostModel:
         assert pooled.predict_seconds("parallel", feats) > 0.35
 
     def test_fit_recovers_a_planted_model(self):
-        # synthesize elapsed times from a known coefficient vector and
-        # check the ridge fit lands on it
-        planted = (-10.0, 0.5, 0.7, 0.4, 30.0, -1.0)
-        records = []
-        for scale in range(1, 30):
-            # decorrelate the basis columns so the planted vector is
-            # identifiable (not shrunk toward the ridge seed)
-            feats = _zoo_features(
-                n_edges=1000 * scale,
-                cost=100_000 * ((scale * 7) % 29 + 1),
-                degree_skew=1.0 + ((scale * 11) % 17),
-                density=0.01 + 0.04 * ((scale * 5) % 13),
-                max_two_hop=100 + 50 * ((scale * 3) % 23),
-            )
-            from repro.plan.model import feature_basis
-
-            log_t = sum(
-                c * x for c, x in zip(planted, feature_basis(feats))
-            )
-            records.append({
-                "engine": "synthetic", "elapsed": math.exp(log_t),
-                "complete": True, "features": feats.as_dict(),
-            })
-        got = fit_coefficients(records)["synthetic"]
-        # the ridge term tugs the bias slightly toward the analytic seed
-        assert got == pytest.approx(planted, abs=0.2)
+        records = [
+            {"engine": "mbet", "elapsed": 3e-6 * n ** 1.25,
+             "complete": True,
+             "features": _zoo_features(n_edges=n).as_dict()}
+            for n in (1_000, 5_000, 20_000, 80_000)
+        ]
+        # other engines' cells are not MBET measurements
+        records.append({"engine": "imbea", "elapsed": 99.0,
+                        "complete": True,
+                        "features": _zoo_features().as_dict()})
+        scale, exponent = fit_work_model(records)
+        assert scale == pytest.approx(3e-6, rel=1e-3)
+        assert exponent == pytest.approx(1.25, abs=1e-4)
 
     def test_fit_skips_incomplete_rows(self):
-        feats = _zoo_features()
         records = [
-            {"engine": "e", "elapsed": 15.0, "complete": False,
-             "features": feats.as_dict()},
+            {"engine": "mbet", "elapsed": 15.0, "complete": False,
+             "features": _zoo_features(n_edges=n).as_dict()}
+            for n in (1_000, 2_000)
         ]
-        assert fit_coefficients(records) == {}
+        with pytest.raises(ValueError, match="two edge counts"):
+            fit_work_model(records)
+
+    def test_committed_constants_match_the_committed_snapshot(self):
+        from repro.plan.model import WORK_EXPONENT, WORK_SCALE
+
+        cells = _committed_crossover()
+        assert fit_work_model(cells) == (WORK_SCALE, WORK_EXPONENT)
 
 
 # --------------------------------------------------------------------------
@@ -187,9 +200,7 @@ class TestBuildPlan:
         # the wc signature: the crossover matrix measured the mbet
         # family 3-10x ahead of the pivot baselines there
         plan = build_plan(features=_zoo_features(), n_cores=1)
-        assert plan.chosen.engine in {
-            "mbet", "mbet_iter", "mbetm", "mbet_vec"
-        }
+        assert plan.chosen.engine in {"mbet", "mbetm"}
         assert plan.chosen.ordering == "degree"
         assert plan.budget_seconds >= 5.0
         chain = plan.engine_chain()
@@ -203,7 +214,10 @@ class TestBuildPlan:
         assert any("pool preference" in r for r in plan.chosen.reasons)
 
     def test_thresholds_reject_incapable_engines(self, g0):
-        plan = build_plan(g0, min_left=2, min_right=2, n_cores=1)
+        plan = build_plan(
+            g0, min_left=2, min_right=2, n_cores=1,
+            engines=("mbet", "mbea", "imbea", "pmbe", "oombea"),
+        )
         by_engine = {c.engine: c for c in plan.candidates}
         for engine in ("mbea", "imbea", "pmbe", "oombea"):
             assert not by_engine[engine].eligible
@@ -311,16 +325,7 @@ class TestCrossoverAcceptance:
         snapshot: on every zoo graph the crossover matrix measured, the
         planner's chosen engine must have run within 1.5x of the best
         measured engine."""
-        import glob
-        import os
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
-        assert paths, "no committed BENCH_*.json snapshot"
-        with open(paths[-1]) as handle:
-            doc = json.load(handle)
-        cells = doc.get("crossover", {}).get("cells", [])
-        assert cells, "snapshot carries no crossover matrix"
+        cells = _committed_crossover()
         by_dataset: dict[str, list[dict]] = {}
         for cell in cells:
             by_dataset.setdefault(cell["dataset"], []).append(cell)
@@ -344,6 +349,60 @@ class TestCrossoverAcceptance:
                 f"{dataset}: {plan.chosen.engine} ran {cell['elapsed']:.2f}s"
                 f" vs best {best:.2f}s (> 1.5x)"
             )
+
+
+    def test_budget_leaves_3x_headroom_on_every_zoo_row(self):
+        """A budget exists to stop runaways, never a healthy run: on
+        every zoo row the recommended budget is at least 3x the mbet
+        time the crossover matrix measured."""
+        for cell in _committed_crossover():
+            if cell["engine"] != "mbet" or not cell["complete"]:
+                continue
+            feats = PlanFeatures.from_dict(cell["features"])
+            plan = build_plan(features=feats, n_cores=1)
+            assert plan.budget_seconds >= 3.0 * cell["elapsed"], (
+                f"{cell['dataset']}: budget {plan.budget_seconds:.1f}s vs "
+                f"measured mbet {cell['elapsed']:.2f}s"
+            )
+
+
+# --------------------------------------------------------------------------
+# off-zoo probes
+
+
+def _off_zoo_probes() -> dict[str, BipartiteGraph]:
+    """Graphs outside the calibration domain: tiny, dense, planted."""
+    from repro.bigraph.generators import planted_bicliques, random_bipartite
+
+    probes = {"g0": make_g0()}
+    for n_u, n_v, p in ((40, 40, 0.2), (60, 30, 0.3), (30, 30, 0.5)):
+        probes[f"random{n_u}x{n_v}p{p}"] = random_bipartite(
+            n_u, n_v, p, seed=7
+        )
+    probes["planted"] = planted_bicliques(
+        60, 60, n_blocks=8, block_u=(4, 12), block_v=(4, 12),
+        noise_edges=100, seed=7,
+    )
+    return probes
+
+
+class TestOffZoo:
+    """Outside the zoo the plan stays sane: every probe here enumerates
+    in well under a second, so it must run serial mbet under the floor
+    budget, with no prediction the size of the old density blow-up."""
+
+    @pytest.mark.parametrize("name", sorted(_off_zoo_probes()))
+    def test_probe_plans_serial_mbet_with_floor_budget(self, name):
+        feats = extract_features(_off_zoo_probes()[name])
+        for cores in (1, 2, 16):
+            plan = build_plan(features=feats, n_cores=cores)
+            assert plan.chosen.engine == "mbet"
+            assert plan.budget_seconds == 5.0
+            predictions = [
+                c.predicted_seconds for c in plan.candidates
+                if c.predicted_seconds is not None
+            ]
+            assert predictions and max(predictions) <= 1.0
 
 
 # --------------------------------------------------------------------------

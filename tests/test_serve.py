@@ -859,6 +859,8 @@ class TestEnumerationService:
     def test_crash_looping_engine_trips_breaker_and_falls_back(
         self, tmp_path
     ):
+        from repro.plan import build_plan
+
         service = _make_service(
             tmp_path, breaker_threshold=2, breaker_cooldown=60.0
         )
@@ -869,9 +871,12 @@ class TestEnumerationService:
                 job, _ = service.submit(spec)
                 assert _wait_terminal(service, job.job_id) == "done"
                 jobs.append(service.result(job.job_id))
+            # every job succeeded via the planner's chosen engine, exactly
+            expected = build_plan(
+                BipartiteGraph([tuple(e) for e in EDGES])
+            ).chosen.engine
             for payload in jobs:
-                # every job succeeded via the fallback chain, exactly
-                assert payload["summary"]["engine"] == "mbet_vec"
+                assert payload["summary"]["engine"] == expected
                 got = {
                     (tuple(left), tuple(right))
                     for left, right in payload["bicliques"]

@@ -76,10 +76,12 @@ class TestBenchSnapshot:
         assert record["metrics"]["counters"]["mbe_maximal_total"] == 2341
         assert "mbe_run_seconds" in record["metrics"]["histograms"]
         # the planner's calibration block: one cell per dataset x engine,
-        # each carrying the fit_coefficients record shape
+        # each carrying the fit_work_model record shape
         cells = doc["crossover"]["cells"]
         assert {c["engine"] for c in cells} == {"mbet", "mbea"}
         for cell in cells:
             assert cell["dataset"] == "mti"
             assert cell["complete"] and cell["count"] == 2341
             assert cell["features"]["n_edges"] > 0
+        # one dataset is one edge count: too few points to refit
+        assert doc["crossover"]["work_model"] is None

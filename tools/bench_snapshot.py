@@ -15,8 +15,8 @@ Snapshots are meant to be committed occasionally so performance drift is
 visible in history; the metrics block makes regressions attributable
 (e.g. "same count, 3x more intersections") rather than just observable.
 The document and every per-run record also carry
-:func:`repro.setops.kernel_meta` — the popcount backend and numba state
-behind the packed-kernel engines — so a timing shift caused by a numpy
+:func:`repro.setops.kernels.kernel_meta` — the popcount backend and numba
+state behind the packed kernels — so a timing shift caused by a numpy
 upgrade swapping the backend is visible in the snapshot diff.
 """
 
@@ -39,17 +39,16 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import datasets, run_mbe  # noqa: E402
 from repro.bench.runner import run_timed  # noqa: E402
 from repro.obs import Instrumentation  # noqa: E402
-from repro.setops import kernel_meta  # noqa: E402
+from repro.setops.kernels import kernel_meta  # noqa: E402
 
 DEFAULT_DATASETS = ("mti", "wa", "tm")
-DEFAULT_ALGORITHMS = ("mbet", "mbet_iter", "imbea")
+DEFAULT_ALGORITHMS = ("mbet", "imbea")
 DEFAULT_CLUSTER_DATASET = "so"
-#: serial planner candidates — the crossover matrix is the planner's
-#: calibration ground truth, so it measures exactly the engines the
-#: planner ranks (``parallel`` is predicted relative to these)
+#: the crossover matrix is the planner's calibration ground truth: its
+#: ``mbet`` cells fit the work model, the rest show how far behind the
+#: baselines run (``parallel`` is predicted from the ``mbet`` fit)
 DEFAULT_CROSSOVER_ENGINES = (
-    "mbet_vec", "mbet", "mbet_iter", "mbetm", "imbea", "mbea", "pmbe",
-    "oombea",
+    "mbet", "mbetm", "imbea", "mbea", "pmbe", "oombea",
 )
 CROSSOVER_ORDER = "degree"
 
@@ -99,11 +98,13 @@ def crossover_snapshot(
 
     Every cell carries the graph's :class:`repro.plan.PlanFeatures`
     signature next to the measured wall clock, which is exactly the
-    record shape :func:`repro.plan.fit_coefficients` consumes.  Cells
+    record shape :func:`repro.plan.fit_work_model` consumes.  Cells
     that hit the budget are recorded ``complete: false`` — a truncated
-    elapsed is a lower bound, so calibration skips them.
+    elapsed is a lower bound, so calibration skips them.  The refit
+    work-model constants ride along under ``work_model`` (null when the
+    matrix has too few complete ``mbet`` cells to fit).
     """
-    from repro.plan import extract_features
+    from repro.plan import extract_features, fit_work_model
 
     cells: list[dict] = []
     for name in dataset_names:
@@ -127,12 +128,20 @@ def crossover_snapshot(
                 f"{record.elapsed:.3f}s ({record.status})",
                 file=sys.stderr,
             )
+    try:
+        scale, exponent = fit_work_model(cells)
+        work_model = {"scale": scale, "exponent": exponent}
+        print(f"  work model: t = {scale:.4g} * |E| ** {exponent}",
+              file=sys.stderr)
+    except ValueError:
+        work_model = None
     return {
         "order": CROSSOVER_ORDER,
         "time_limit": time_limit,
         "engines": engines,
         "datasets": dataset_names,
         "cells": cells,
+        "work_model": work_model,
     }
 
 

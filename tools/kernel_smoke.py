@@ -1,23 +1,22 @@
 #!/usr/bin/env python
 """Smoke-test the packed uint64 kernel layer against the sorted-list ops.
 
-The batched kernels in :mod:`repro.setops.kernels` are the hot path of
-``mbet_vec``; the sorted-list ops in :mod:`repro.setops.sorted_ops` are
-the slow, obviously-correct reference.  This smoke sweeps the two against
-each other at the uint64 word boundaries plus a cache-blocked width:
+The batched kernels in :mod:`repro.setops.kernels` are a library no
+enumeration engine calls; the sorted-list ops in
+:mod:`repro.setops.sorted_ops` are the slow, obviously-correct
+reference.  This smoke sweeps the two against each other at the uint64
+word boundaries plus a cache-blocked width:
 
 1. pack/unpack round-trips and row popcounts at widths 1..65, 128/129,
    and past ``BLOCK_WORDS`` words;
 2. ``filter_batch`` / ``subset_reduce`` / ``disjoint_reduce`` versus
    ``sorted_ops.intersect`` / ``is_subset`` on seeded random row batches;
 3. ``partitioned_union_rows`` versus ``sorted_ops.union_many`` at several
-   lane counts, including lanes > |union|;
-4. the ``mbet_vec`` engine end-to-end: ``kernel_policy="always"`` versus
-   ``"never"`` versus the ``mbet`` reference on a fast zoo dataset.
+   lane counts, including lanes > |union|.
 
 Exits non-zero on the first divergence.  Usage::
 
-    PYTHONPATH=src python tools/kernel_smoke.py [--dataset mti] [--seed 0]
+    PYTHONPATH=src python tools/kernel_smoke.py [--seed 0]
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ import sys
 
 import numpy as np
 
-from repro import run_mbe
-from repro.datasets import load
 from repro.setops import kernels, sorted_ops
 
 #: widths hitting both sides of every uint64 word edge, plus one past the
@@ -106,29 +103,8 @@ def check_partitioned_union(rng: random.Random, n_bits: int) -> None:
                  f"{len(got)} elements != {len(want)}")
 
 
-def check_engine(dataset: str) -> None:
-    graph = load(dataset)
-    ref = run_mbe(graph, "mbet", collect=False)
-    for policy in ("always", "never", "auto"):
-        got = run_mbe(graph, "mbet_vec", collect=False,
-                      kernel_policy=policy, kernel_min_groups=2)
-        if not got.complete or got.count != ref.count:
-            fail(f"{dataset}: mbet_vec[kernel_policy={policy}] found "
-                 f"{got.count} bicliques, mbet found {ref.count}")
-        kernel_nodes = got.stats.kernel_nodes
-        if policy == "never" and kernel_nodes:
-            fail(f"{dataset}: policy=never expanded {kernel_nodes} "
-                 f"kernel nodes")
-        if policy == "always" and not kernel_nodes:
-            fail(f"{dataset}: policy=always expanded no kernel nodes")
-        print(f"  engine[{policy}]: count={got.count} "
-              f"kernel_nodes={kernel_nodes} OK")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dataset", default="mti",
-                        help="zoo key for the end-to-end engine check")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     meta = kernels.kernel_meta()
@@ -140,7 +116,6 @@ def main() -> None:
         check_filters(rng, n_bits)
         check_partitioned_union(rng, n_bits)
         print(f"  width {n_bits}: pack/filter/union vs sorted_ops OK")
-    check_engine(args.dataset)
     print("kernel smoke: OK")
 
 
