@@ -1,8 +1,8 @@
 """Content-addressed preprocess-once artifact cache.
 
-Graphs, orderings, stats, component decompositions, and completed
-enumeration results are each computed once per graph *content* (SHA-256
-of canonical bytes) and reused across every entry point — ``repro run``,
+Graphs, orderings, stats, root counts, and completed enumeration
+results are each computed once per graph *content* (SHA-256 of
+canonical bytes) and reused across every entry point — ``repro run``,
 the serve admission path, cluster slice planning, benchmarks.  See
 ``docs/artifacts.md`` for the store layout and failure matrix.
 """
@@ -12,9 +12,7 @@ from __future__ import annotations
 import os
 
 from repro.artifacts.kinds import (
-    cached_components,
     cached_cost,
-    cached_degeneracy_order,
     cached_root_count,
     cached_stats,
     cached_vertex_order,
@@ -40,9 +38,7 @@ __all__ = [
     "ArtifactStore",
     "DEFAULT_MAX_BYTES",
     "FileLock",
-    "cached_components",
     "cached_cost",
-    "cached_degeneracy_order",
     "cached_root_count",
     "cached_stats",
     "cached_vertex_order",

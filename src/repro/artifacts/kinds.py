@@ -16,8 +16,6 @@ Kinds
 ``order``
     A :func:`repro.bigraph.ordering.vertex_order` permutation,
     fingerprinted by ``strategy:seed``.
-``degeneracy``
-    The joint peel order plus the degeneracy number.
 ``stats``
     The :class:`repro.bigraph.stats.GraphStats` row.
 ``cost``
@@ -27,8 +25,6 @@ Kinds
 ``roots``
     The count of addressable enumeration roots for a given
     ``order:seed`` (cluster slice planning / worker verification).
-``components``
-    Connected components as ``(us, vs)`` id lists.
 ``result``
     A **complete** enumeration output, fingerprinted by engine +
     thresholds + engine options.  Truncated runs are never stored: a
@@ -45,9 +41,8 @@ import os
 from typing import Any
 
 from repro.artifacts.store import ArtifactStore
-from repro.bigraph.components import connected_components
 from repro.bigraph.graph import BipartiteGraph
-from repro.bigraph.ordering import degeneracy_order, vertex_order
+from repro.bigraph.ordering import vertex_order
 from repro.bigraph.stats import GraphStats, compute_stats
 
 __all__ = [
@@ -58,11 +53,9 @@ __all__ = [
     "load_graph_cached",
     "peek_graph_key",
     "cached_vertex_order",
-    "cached_degeneracy_order",
     "cached_stats",
     "cached_cost",
     "cached_root_count",
-    "cached_components",
     "result_fingerprint",
     "get_cached_result",
     "put_cached_result",
@@ -212,21 +205,6 @@ def cached_vertex_order(
     return [int(v) for v in payload]
 
 
-def cached_degeneracy_order(
-    store: ArtifactStore, gk: str, graph: BipartiteGraph
-) -> tuple[list[int], int]:
-    """The joint peel order and degeneracy number."""
-    payload = store.get_or_build(
-        gk, "degeneracy", lambda: _degeneracy_payload(graph)
-    )
-    return [int(v) for v in payload["order_v"]], int(payload["degeneracy"])
-
-
-def _degeneracy_payload(graph: BipartiteGraph) -> dict[str, Any]:
-    order_v, degeneracy = degeneracy_order(graph)
-    return {"order_v": order_v, "degeneracy": degeneracy}
-
-
 def cached_stats(
     store: ArtifactStore, gk: str, graph: BipartiteGraph
 ) -> GraphStats:
@@ -262,17 +240,6 @@ def cached_root_count(
     return int(store.get_or_build(
         gk, "roots", build, fingerprint=f"{order}:{seed}"
     ))
-
-
-def cached_components(
-    store: ArtifactStore, gk: str, graph: BipartiteGraph
-) -> list[tuple[list[int], list[int]]]:
-    """Connected components as ``(us, vs)`` pairs, largest first."""
-    payload = store.get_or_build(
-        gk, "components",
-        lambda: [[us, vs] for us, vs in connected_components(graph)],
-    )
-    return [(list(map(int, us)), list(map(int, vs))) for us, vs in payload]
 
 
 # -- result / idempotency cache --------------------------------------------

@@ -17,6 +17,8 @@ The properties are the ones the operational stack claims:
   same state twice (replay is deterministic and torn tails stay torn);
 * ``artifact_integrity``  — a store verify pass leaves a store whose next
   verify pass is clean (corruption is quarantined, never served);
+* ``task_ledger``         — a parallel result flagged complete accounts
+  for every task: completed equals handed plus split growth;
 * ``seam_fired_<seam>``   — the scenario actually injected at least one
   fault on the seam it claims to exercise (guards against a chaos run
   that silently tests nothing).
@@ -37,6 +39,7 @@ __all__ = [
     "journal_replay_consistent",
     "no_duplicates",
     "seam_fired",
+    "task_ledger",
 ]
 
 
@@ -156,4 +159,22 @@ def seam_fired(schedule: FaultSchedule, seam: str) -> InvariantResult:
         return InvariantResult(name, True, f"{fired} {seam} faults injected")
     return InvariantResult(
         name, False, f"no {seam} faults fired — the scenario tested nothing"
+    )
+
+
+def task_ledger(result: Any, label: str = "") -> InvariantResult:
+    """A ``complete`` parallel result balances its task ledger
+    (:func:`repro.check.oracles.ledger_gap`)."""
+    from repro.check.oracles import ledger_gap
+
+    name = f"task_ledger{':' + label if label else ''}"
+    gap = ledger_gap(result)
+    if gap is not None:
+        return InvariantResult(name, False, gap)
+    meta = result.meta
+    return InvariantResult(
+        name, True,
+        f"complete={result.complete}: {meta.get('completed_tasks', 0)} "
+        f"completed of {meta.get('handed_tasks', 0)} handed + "
+        f"{meta.get('split_growth', 0)} split growth",
     )

@@ -41,6 +41,7 @@ from repro.chaos.invariants import (
     journal_replay_consistent,
     no_duplicates,
     seam_fired,
+    task_ledger,
 )
 from repro.chaos.schedule import FaultRule, FaultSchedule
 from repro.core.base import run_mbe
@@ -122,6 +123,7 @@ def _run_single_node(
             "run_complete", result.complete,
             f"complete={result.complete} meta={result.meta}",
         ),
+        task_ledger(result),
         journal_replay_consistent(_checkpoint_state, label="checkpoint"),
         seam_fired(schedule, "process"),
         seam_fired(schedule, "disk"),
@@ -134,6 +136,7 @@ def _run_single_node(
     checks.append(
         exact_result_set(reference, resumed.bicliques or (), label="resume")
     )
+    checks.append(task_ledger(resumed, label="resume"))
     return checks
 
 
@@ -452,8 +455,8 @@ SCENARIOS: dict[str, ScenarioDef] = {
             name="single_node",
             description=(
                 "checkpointed parallel run under worker crash/slow faults "
-                "plus torn/ENOSPC checkpoint writes; exact set, clean "
-                "resume"
+                "plus torn/ENOSPC checkpoint writes; exact set, balanced "
+                "task ledger, clean resume"
             ),
             seams=("process", "disk"),
             build=_build_single_node,

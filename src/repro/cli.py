@@ -201,7 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # engine for this graph (docs/planning.md)
         from repro.plan import build_plan
 
-        plan = build_plan(graph, graph_key=gk, store=store)
+        plan = build_plan(graph, graph_key=gk)
         args.algorithm = plan.chosen.engine
         print(
             f"planned: engine={plan.chosen.engine} "
@@ -229,12 +229,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if store is not None:
         from repro import artifacts
 
-        # cost pre-flight (persisted stats scan), and the ordering it
-        # produces is threaded straight into the engine — the same
-        # invocation never computes the same permutation twice
-        cost = artifacts.cached_cost(store, gk, graph)
-        print(f"pre-flight: cost estimate {cost:,} "
-              f"(|E|*max(1,D2))", file=sys.stderr)
+        # the persisted ordering is threaded straight into the engine —
+        # the same invocation never computes the same permutation twice
         import inspect
 
         from repro.core.base import ALGORITHMS
@@ -338,29 +334,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     from repro.plan import PlanError, build_plan
 
-    store = None
-    gk = None
-    if _run_cache_enabled(args):
-        from repro import artifacts
-
-        store = artifacts.open_store(args.cache_dir)
-        if args.dataset:
-            graph, name = datasets.load(args.dataset), args.dataset
-            gk = artifacts.graph_key(graph)
-        else:
-            graph, gk, _was_cached = artifacts.load_graph_cached(
-                args.input, store, fmt=args.format
-            )
-            name = args.input
-    else:
-        graph, name = _load_graph(args)
+    graph, name = _load_graph(args)
     engines = (
         tuple(e for e in args.engines.split(",") if e)
         if args.engines else None
     )
     try:
         plan = build_plan(
-            graph, graph_key=gk, store=store, engines=engines,
+            graph, engines=engines,
             min_left=args.min_left, min_right=args.min_right,
             n_cores=args.cores,
         )
@@ -1042,7 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "per-candidate predictions and reasons")
     p_plan.add_argument("--json", action="store_true",
                         help="emit the plan as JSON instead of text")
-    add_cache_flags(p_plan)
     p_plan.set_defaults(func=_cmd_plan)
 
     p_srv = sub.add_parser(

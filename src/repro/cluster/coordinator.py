@@ -280,7 +280,7 @@ class ClusterCoordinator:
             from repro.artifacts import graph_key as _graph_key
 
             specs = plan_slices(
-                graph,
+                estimates,
                 n_slices,
                 source_fields,
                 order=cfg.order,

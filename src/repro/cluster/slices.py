@@ -175,36 +175,37 @@ class SliceSpec:
 
 
 def plan_slices(
-    graph,
+    estimates: list[int],
     n_slices: int,
     source: dict[str, Any],
     order: str = "degree",
     seed: int = 0,
     **fields: Any,
 ) -> list[SliceSpec]:
-    """Plan load-balanced slices of ``graph`` for a federated job.
+    """Plan load-balanced slices of a federated job.
 
-    ``source`` carries exactly one of ``dataset`` / ``graph_path`` /
-    ``edges`` (how *workers* will load the graph); extra ``fields`` are
-    forwarded to every :class:`SliceSpec` (thresholds, time limits,
-    engine options, chaos faults).
+    ``estimates`` holds the per-root subtree estimates over the graph's
+    addressable roots under ``(order, seed)``, the list
+    :func:`repro.core.parallel.plan_root_ranges` balances.  ``source``
+    carries exactly one of ``dataset`` / ``graph_path`` / ``edges`` (how
+    *workers* will load the graph); extra ``fields`` are forwarded to
+    every :class:`SliceSpec` (thresholds, time limits, engine options,
+    chaos faults).
     """
-    from repro.core.parallel import addressable_roots, plan_root_ranges
+    from repro.core.parallel import plan_root_ranges
 
-    n_roots = len(addressable_roots(graph, order, seed=seed))
-    ranges = plan_root_ranges(graph, n_slices, order=order, seed=seed)
     return [
         SliceSpec(
             slice_id=f"s{i:04d}",
             lo=lo,
             hi=hi,
-            n_roots=n_roots,
+            n_roots=len(estimates),
             order=order,
             seed=seed,
             **source,
             **fields,
         )
-        for i, (lo, hi) in enumerate(ranges)
+        for i, (lo, hi) in enumerate(plan_root_ranges(estimates, n_slices))
     ]
 
 

@@ -241,25 +241,43 @@ class MBET(MBEAlgorithm):
         sub: Subproblem,
         report: Callable[[Sequence[int], Sequence[int]], None],
         stats: EnumerationStats,
+        _part: int = 0,
+        _n_parts: int = 1,
     ) -> None:
+        """Enumerate one first-level subtree, or one root slice of it.
+
+        Slice ``_part`` of ``_n_parts`` (the parallel engine's split
+        tasks) branches only on its fraction of the root's candidate
+        groups; earlier groups are seeded into the traversed store, so
+        the slices of a subtree are independent and their union is the
+        whole subtree.
+        """
         space = sub.space
         store = self._make_store()
         for sig in sub.traversed:
             store.insert(sig)
 
         # The subproblem root is always a maximal biclique (L0 = C(right),
-        # right = C(L0) by construction); it may still fail the size filter.
-        if len(sub.right) >= self.min_right:
+        # right = C(L0) by construction); it may still fail the size
+        # filter.  Exactly one slice of a split subtree reports it.
+        if _part == 0 and len(sub.right) >= self.min_right:
             report(space.universe, sub.right)
 
         pairs = [(mask, (w,)) for w, mask in sub.cands]
         groups = self._group(pairs, stats)
+        lo = _part * len(groups) // _n_parts
+        hi = (_part + 1) * len(groups) // _n_parts
         reachable_right = len(sub.right) + sum(len(v) for _, v in pairs)
-        if groups and reachable_right >= self.min_right:
+        if lo < hi and reachable_right >= self.min_right:
+            # earlier root branches act as already traversed; later groups
+            # stay in the pool (they absorb and filter) but do not branch
+            for mask, _verts in groups[:lo]:
+                store.insert(mask)
             self._search(
-                tuple(sub.right), groups, store, space, report, stats
+                tuple(sub.right), groups[lo:], store, space, report, stats,
+                branch_limit=hi - lo,
             )
-        elif groups:
+        elif lo < hi:
             stats.threshold_pruned += 1
 
         self._fold_store_stats(store, stats)

@@ -109,27 +109,23 @@ def addressable_roots(
 
 
 def plan_root_ranges(
-    graph: BipartiteGraph,
-    n_slices: int,
-    order: str = "degree",
-    seed: int = 0,
-    bound_size: int = 256,
+    estimates: list[int], n_slices: int
 ) -> list[tuple[int, int]]:
     """Partition the addressable root space into ≤ ``n_slices`` ranges.
 
-    Contiguous ``[lo, hi)`` index ranges over :func:`addressable_roots`,
-    balanced by the same subtree estimate the in-process scheduler uses,
+    ``estimates[i]`` is the :func:`subtree_estimate` of root ``i`` of
+    :func:`addressable_roots`.  The result is contiguous ``[lo, hi)``
+    index ranges over that root list, balanced by the estimates,
     covering the whole space with no overlap.  Fewer ranges are returned
-    when the graph has fewer roots than requested slices.
+    when there are fewer roots than requested slices.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
-    roots = addressable_roots(graph, order, seed=seed)
-    if not roots:
+    n_roots = len(estimates)
+    if not n_roots:
         return []
-    estimates = [subtree_estimate(graph, v, bound_size)[0] for v in roots]
     total = sum(estimates)
-    n_slices = min(n_slices, len(roots))
+    n_slices = min(n_slices, n_roots)
     target = total / n_slices
     ranges: list[tuple[int, int]] = []
     lo, acc = 0, 0
@@ -139,12 +135,12 @@ def plan_root_ranges(
         remaining_slices = n_slices - len(ranges)
         if (
             acc >= target
-            and len(roots) - (i + 1) >= remaining_slices - 1
-        ) or len(roots) - (i + 1) == remaining_slices - 1:
+            and n_roots - (i + 1) >= remaining_slices - 1
+        ) or n_roots - (i + 1) == remaining_slices - 1:
             if remaining_slices > 1:
                 ranges.append((lo, i + 1))
                 lo, acc = i + 1, 0
-    ranges.append((lo, len(roots)))
+    ranges.append((lo, n_roots))
     return ranges
 
 
@@ -294,10 +290,9 @@ def _run_task(task: tuple[int, int, int], attempt: int):
         sub = build_subproblem(graph, v, rank)
         if sub is not None and algo._accept_subproblem(sub, stats):
             stats.subtrees += 1
-            if n_parts == 1:
-                algo._run_subproblem(sub, report, stats)
-            else:
-                _run_root_slice(algo, sub, part, n_parts, report, stats)
+            algo._run_subproblem(
+                sub, report, stats, _part=part, _n_parts=n_parts
+            )
     except BudgetExceeded as exc:
         complete, reason = False, exc.reason
     finally:
@@ -305,41 +300,6 @@ def _run_task(task: tuple[int, int, int], attempt: int):
         if shared is not None and unflushed:
             shared.add(unflushed)
     return count, stats.as_dict(), results if collect else None, complete, reason
-
-
-def _run_root_slice(algo: MBET, sub, part: int, n_parts: int, report, stats) -> None:
-    """Run one slice of a subproblem's root loop (see module docstring)."""
-    from repro.core.mbet import _TrieQ
-
-    space = sub.space
-    store = _TrieQ(algo.trie_max_nodes)
-    for sig in sub.traversed:
-        store.insert(sig)
-    pairs = [(mask, (w,)) for w, mask in sub.cands]
-    groups = algo._group(pairs, stats)
-    n = len(groups)
-    lo = part * n // n_parts
-    hi = (part + 1) * n // n_parts
-    if part == 0 and len(sub.right) >= algo.min_right:
-        # exactly one slice reports the subtree's root biclique; the
-        # min_right gate mirrors MBET._run_subproblem (min_left is already
-        # enforced by _accept_subproblem on the whole subtree)
-        report(space.universe, sub.right)
-    if lo >= hi:
-        return
-    # Earlier root branches act as already-traversed for this slice; later
-    # groups stay in the pool (they absorb and filter) but do not branch.
-    for mask, _verts in groups[:lo]:
-        store.insert(mask)
-    algo._search(
-        tuple(sub.right),
-        groups[lo:],
-        store,
-        space,
-        report,
-        stats,
-        branch_limit=hi - lo,
-    )
 
 
 @register

@@ -1,21 +1,16 @@
 """Planning: serial MBET or the process pool, the budget, the fallbacks.
 
-See :mod:`repro.plan.features` (graph signatures),
-:mod:`repro.plan.model` (the MBET work model and the canonical
-admission estimator) and :mod:`repro.plan.planner` (the explainable
-:class:`Plan`).  ``docs/planning.md`` walks through the model and the
-recalibration workflow.
+See :mod:`repro.plan.model` (the graph sizes a plan reads, the MBET
+work model and the canonical admission estimator) and
+:mod:`repro.plan.planner` (the explainable :class:`Plan`).
+``docs/planning.md`` walks through the model and the recalibration
+workflow.
 """
 
-from repro.plan.features import (
-    FEATURES_VERSION,
-    PlanFeatures,
-    cached_features,
-    extract_features,
-)
 from repro.plan.model import (
     MODEL_VERSION,
     CostModel,
+    PlanFeatures,
     cost_from_stats,
     estimate_cost,
     fit_work_model,
@@ -26,13 +21,12 @@ from repro.plan.planner import (
     PlanCandidate,
     PlanError,
     build_plan,
+    enforces_thresholds,
     recommend_slices,
     recommend_straggler_factor,
-    root_cost_estimates,
 )
 
 __all__ = [
-    "FEATURES_VERSION",
     "MODEL_VERSION",
     "PLANNER_ENGINES",
     "CostModel",
@@ -41,12 +35,10 @@ __all__ = [
     "PlanError",
     "PlanFeatures",
     "build_plan",
-    "cached_features",
     "cost_from_stats",
+    "enforces_thresholds",
     "estimate_cost",
-    "extract_features",
     "fit_work_model",
     "recommend_slices",
     "recommend_straggler_factor",
-    "root_cost_estimates",
 ]

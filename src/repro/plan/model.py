@@ -27,14 +27,16 @@ The ``parallel`` engine is predicted as dispatch overhead plus the
 serial time divided by an effective speedup of ``0.7 × cores`` — on a
 single-core host it therefore never wins, which matches measurement
 (R-F9).
+
+The model scores a :class:`PlanFeatures` row: the three sizes the plan
+reads or prints, all O(1) to take from a graph.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
-
-from repro.plan.features import PlanFeatures
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bigraph.graph import BipartiteGraph
@@ -43,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CostModel",
     "MODEL_VERSION",
+    "PlanFeatures",
     "WORK_EXPONENT",
     "WORK_SCALE",
     "cost_from_stats",
@@ -89,6 +92,29 @@ def estimate_cost(graph: "BipartiteGraph") -> int:
 
 
 # -- runtime prediction -----------------------------------------------------
+
+@dataclass(frozen=True)
+class PlanFeatures:
+    """The graph sizes a plan reads or prints (JSON-round-trippable)."""
+
+    n_u: int
+    n_v: int
+    n_edges: int
+
+    @classmethod
+    def from_graph(cls, graph: "BipartiteGraph") -> "PlanFeatures":
+        return cls(n_u=graph.n_u, n_v=graph.n_v, n_edges=graph.n_edges)
+
+    def as_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "PlanFeatures":
+        """Build from a record, ignoring unknown keys (older snapshots
+        carry a wider signature)."""
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in payload.items() if k in known})
+
 
 class CostModel:
     """Scores ``(engine, features)`` pairs in predicted wall-clock seconds."""

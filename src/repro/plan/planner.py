@@ -1,8 +1,8 @@
 """The planner: serial MBET or the process pool, the budget, the fallbacks.
 
-:func:`build_plan` turns a graph (or a precomputed
-:class:`~repro.plan.features.PlanFeatures` signature) into an
-explainable :class:`Plan`.  The measurements support two decisions and
+:func:`build_plan` turns a graph (or hypothetical
+:class:`~repro.plan.model.PlanFeatures` sizes) into an explainable
+:class:`Plan`.  The measurements support two decisions and
 the planner makes exactly those:
 
 * **serial ``mbet`` vs ``parallel``** — the process pool is eligible
@@ -19,11 +19,11 @@ live circuit-breaker state composes in as *demotion* — an engine whose
 breaker is open ranks after every healthy candidate, so the service
 tries it last rather than never.
 
-The ranked chain (:meth:`Plan.engine_chain`) is what ``repro serve``
-executes in place of its old hardcoded fallback chain; ``repro run``
-uses the top candidate when no ``--algorithm`` is given; the cluster
-coordinator sizes slices and straggler thresholds from the same per-root
-estimates via :func:`recommend_slices` /
+The ranked chain (:meth:`Plan.engine_chain`) is the only source of
+``repro serve``'s execution chain behind a job's requested engine;
+``repro run`` uses the top candidate when no ``--algorithm`` is given;
+the cluster coordinator sizes slices and straggler thresholds from its
+per-root subtree estimates via :func:`recommend_slices` /
 :func:`recommend_straggler_factor`.
 """
 
@@ -33,11 +33,9 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from repro.plan.features import PlanFeatures, cached_features, extract_features
-from repro.plan.model import MODEL_VERSION, CostModel
+from repro.plan.model import MODEL_VERSION, CostModel, PlanFeatures
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.artifacts.store import ArtifactStore
     from repro.bigraph.graph import BipartiteGraph
 
 __all__ = [
@@ -45,9 +43,9 @@ __all__ = [
     "PlanCandidate",
     "PlanError",
     "build_plan",
+    "enforces_thresholds",
     "recommend_slices",
     "recommend_straggler_factor",
-    "root_cost_estimates",
 ]
 
 #: The serial fallback chain, in order: the paper's engine, then a
@@ -158,10 +156,7 @@ class Plan:
         lines = [
             (
                 f"graph{' ' + self.graph_key[:12] if self.graph_key else ''}:"
-                f" {f.n_u:,} x {f.n_v:,} vertices, {f.n_edges:,} edges, "
-                f"density {f.density:.4g}, degree skew {f.degree_skew:.1f}, "
-                f"D2 {f.max_two_hop:,}, cost {f.cost:,}, "
-                f"{f.n_components:,} component(s)"
+                f" {f.n_u:,} x {f.n_v:,} vertices, {f.n_edges:,} edges"
             ),
             (
                 f"chosen: engine={chosen.engine} ordering={chosen.ordering} "
@@ -213,17 +208,24 @@ def _pick_ordering(features: PlanFeatures) -> tuple[str, str]:
     )
 
 
-def _rejection(
-    engine: str, model: CostModel, serial: float, thresholds: str | None
-) -> str | None:
-    """Why ``engine`` cannot run this job, or None when it can."""
+def enforces_thresholds(engine: str) -> bool:
+    """True when registered ``engine`` takes ``min_left``/``min_right``.
+
+    A job with size thresholds must never run on an engine that ignores
+    them: the result set would silently change.
+    """
     import inspect
 
     from repro.core.base import ALGORITHMS
 
-    if thresholds is not None and (
-        "min_left" not in inspect.signature(ALGORITHMS[engine]).parameters
-    ):
+    return "min_left" in inspect.signature(ALGORITHMS[engine]).parameters
+
+
+def _rejection(
+    engine: str, model: CostModel, serial: float, thresholds: str | None
+) -> str | None:
+    """Why ``engine`` cannot run this job, or None when it can."""
+    if thresholds is not None and not enforces_thresholds(engine):
         return f"job sets size thresholds ({thresholds}) this engine " \
             f"cannot enforce"
     if engine != "parallel":
@@ -244,7 +246,6 @@ def build_plan(
     *,
     features: PlanFeatures | None = None,
     graph_key: str | None = None,
-    store: "ArtifactStore | None" = None,
     engines: Iterable[str] | None = None,
     min_left: int = 1,
     min_right: int = 1,
@@ -252,11 +253,10 @@ def build_plan(
     model: CostModel | None = None,
     n_cores: int | None = None,
 ) -> Plan:
-    """Plan one job: extract features, decide serial vs pool, explain.
+    """Plan one job: read the graph's sizes, decide serial vs pool, explain.
 
-    ``features`` short-circuits extraction; otherwise a ``store`` (plus
-    ``graph_key``) answers repeat planning from the persisted feature
-    cache, and a bare ``graph`` is scanned directly.  ``breaker_states``
+    ``features`` plans hypothetical sizes in place of a ``graph``; either
+    way the plan costs O(1) graph work.  ``breaker_states``
     (engine → ``closed|half_open|open``) demotes open-breaker engines to
     the back of the eligible ranking.  ``engines`` replaces the
     candidate pool (default :data:`PLANNER_ENGINES`); its order is the
@@ -265,14 +265,7 @@ def build_plan(
     if features is None:
         if graph is None:
             raise ValueError("build_plan needs a graph or its features")
-        if store is not None:
-            if graph_key is None:
-                from repro.artifacts.kinds import graph_key as _graph_key
-
-                graph_key = _graph_key(graph)
-            features = cached_features(store, graph_key, graph)
-        else:
-            features = extract_features(graph)
+        features = PlanFeatures.from_graph(graph)
     model = model if model is not None else CostModel(n_cores=n_cores)
     ordering, ordering_reason = _pick_ordering(features)
     serial = model.serial_seconds(features)
@@ -340,23 +333,6 @@ def build_plan(
 
 
 # -- cluster-facing estimates ----------------------------------------------
-
-def root_cost_estimates(
-    graph: "BipartiteGraph", order: str = "degree", seed: int = 0
-) -> list[int]:
-    """Per-root subtree cost estimates over the addressable root list.
-
-    Index ``i`` estimates the work under root ``i`` of
-    :func:`repro.core.parallel.addressable_roots` — the same unit the
-    in-process scheduler and the federated slice planner balance on.
-    """
-    from repro.core.parallel import addressable_roots, subtree_estimate
-
-    return [
-        subtree_estimate(graph, v)[0]
-        for v in addressable_roots(graph, order, seed=seed)
-    ]
-
 
 def recommend_slices(
     n_workers: int, estimates: list[int]

@@ -2,17 +2,12 @@
 
 Stdlib-only serving layer over the enumeration engines: a bounded job
 queue with cost-aware admission control, per-engine circuit breakers
-with a fallback chain, a memory watchdog that degrades collection
-instead of dying, and a crash-safe JSONL job journal that lets a
-restarted server resume in-flight work.  See ``docs/serving.md``.
+over a planner-ranked fallback chain, a memory watchdog that degrades
+collection instead of dying, and a crash-safe JSONL job journal that
+lets a restarted server resume in-flight work.  See ``docs/serving.md``.
 """
 
-from repro.serve.breaker import (
-    FALLBACK_CHAIN,
-    BreakerOpen,
-    BreakerRegistry,
-    CircuitBreaker,
-)
+from repro.serve.breaker import BreakerOpen, BreakerRegistry, CircuitBreaker
 from repro.serve.jobs import Job, JobSpec, JobValidationError
 from repro.serve.journal import JobJournal, JournalError, load_journal
 from repro.serve.queue import AdmissionError, BoundedJobQueue, estimate_cost
@@ -32,7 +27,6 @@ __all__ = [
     "CircuitBreaker",
     "DegradableCollector",
     "EnumerationService",
-    "FALLBACK_CHAIN",
     "Job",
     "JobJournal",
     "JobSpec",

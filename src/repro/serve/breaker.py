@@ -1,4 +1,4 @@
-"""Per-engine circuit breakers and the fallback chain.
+"""Per-engine circuit breakers.
 
 An engine that keeps crashing or timing out should stop being handed
 jobs: every attempt costs a full (possibly budget-long) execution before
@@ -10,29 +10,22 @@ three-state breaker:
   any success resets it.  ``failure_threshold`` consecutive failures
   trip the breaker **open**.
 * **open** — calls are refused outright for ``cooldown`` seconds; the
-  service routes to the next engine in the fallback chain instead.
+  service routes to the next engine of the job's chain instead.
 * **half-open** — after the cooldown one *probe* call is let through.
   Success closes the breaker; failure reopens it (and restarts the
   cooldown).
 
-The default fallback chain is the planner's: ``mbet`` (the paper's
-engine) → ``imbea`` (a baseline that shares no enumeration code with
-it).  A requested engine outside the chain is tried first, then the
-chain.
+The chain itself is the planner's (:meth:`repro.plan.Plan.engine_chain`):
+open breakers feed it as demotion, so a broken engine is tried last.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Iterable
+from typing import Callable
 
-from repro.plan.planner import SERIAL_CHAIN
-
-__all__ = ["BreakerOpen", "BreakerRegistry", "CircuitBreaker", "FALLBACK_CHAIN"]
-
-#: Engines tried, in order, after the requested one (de-duplicated).
-FALLBACK_CHAIN = SERIAL_CHAIN
+__all__ = ["BreakerOpen", "BreakerRegistry", "CircuitBreaker"]
 
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
@@ -134,19 +127,17 @@ class CircuitBreaker:
 
 
 class BreakerRegistry:
-    """One breaker per engine plus fallback-chain resolution."""
+    """One breaker per engine, created on first use."""
 
     def __init__(
         self,
         failure_threshold: int = 3,
         cooldown: float = 30.0,
-        chain: Iterable[str] = FALLBACK_CHAIN,
         clock: Callable[[], float] = time.monotonic,
         on_transition: Callable[[str, str, str], None] | None = None,
     ):
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
-        self.chain = tuple(chain)
         self._clock = clock
         self._on_transition = on_transition
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -165,12 +156,6 @@ class BreakerRegistry:
                 )
                 self._breakers[engine] = b
             return b
-
-    def resolve(self, engine: str) -> list[str]:
-        """Engines to try for a job, requested engine first, no repeats."""
-        out = [engine]
-        out.extend(e for e in self.chain if e != engine)
-        return out
 
     def states(self) -> dict[str, str]:
         """Snapshot of every known breaker's state (for /readyz, metrics)."""

@@ -2,11 +2,12 @@
 
 :class:`EnumerationService` owns the whole robustness stack
 (``docs/serving.md``): the bounded queue with cost-aware admission
-(:mod:`repro.serve.queue`), per-engine circuit breakers with a fallback
-chain (:mod:`repro.serve.breaker`), the memory watchdog's degradation
-ladder (:mod:`repro.serve.watchdog`), and the crash-safe job journal
-(:mod:`repro.serve.journal`).  The HTTP layer on top is a thin
-``http.server`` translation — everything is stdlib, nothing to deploy.
+(:mod:`repro.serve.queue`), per-engine circuit breakers over the
+planner's fallback chain (:mod:`repro.serve.breaker`), the memory
+watchdog's degradation ladder (:mod:`repro.serve.watchdog`), and the
+crash-safe job journal (:mod:`repro.serve.journal`).  The HTTP layer
+on top is a thin ``http.server`` translation — everything is stdlib,
+nothing to deploy.
 
 Crash safety contract: every accepted job is journaled before it is
 queued, every state change is journaled as it happens, and a server
@@ -38,15 +39,10 @@ from repro.core.base import ALGORITHMS, Biclique, run_mbe
 from repro.core.io_results import read_bicliques
 from repro.obs.metrics import MetricRegistry
 from repro.obs.sinks import prometheus_text
-from repro.plan import PLANNER_ENGINES, Plan, build_plan
+from repro.plan import PLANNER_ENGINES, Plan, build_plan, enforces_thresholds
 from repro.runtime.budget import RunBudget
 from repro.runtime.faults import FaultPlan
-from repro.serve.breaker import (
-    FALLBACK_CHAIN,
-    STATE_CODES,
-    BreakerOpen,
-    BreakerRegistry,
-)
+from repro.serve.breaker import STATE_CODES, BreakerOpen, BreakerRegistry
 from repro.serve.jobs import (
     TERMINAL_STATES,
     Job,
@@ -99,11 +95,6 @@ class ServiceConfig:
     drain_timeout: float = 10.0
     #: honour ``faults`` in job specs (chaos testing only)
     allow_faults: bool = False
-    #: fallback policy: None (default) ranks fallback engines with the
-    #: cost-model planner per job, composed with live breaker state; an
-    #: explicit tuple pins a fixed chain instead (``()`` disables
-    #: fallback entirely)
-    fallback: tuple | None = None
     #: Retry-After issued before any job duration has been observed
     default_retry_after: float = 5.0
     #: journal compaction triggers (None = that trigger disabled)
@@ -141,7 +132,6 @@ class EnumerationService:
         self.breakers = BreakerRegistry(
             failure_threshold=config.breaker_threshold,
             cooldown=config.breaker_cooldown,
-            chain=config.fallback if config.fallback is not None else (),
             on_transition=self._on_breaker_transition,
         )
         # eager registration so /metrics always exposes the plan_*
@@ -803,59 +793,35 @@ class EnumerationService:
                 self._journal_safe(job, "failed", error=job.error)
                 self._jobs_counter("failed").inc()
 
-    def _threshold_capable(self, spec: JobSpec, engine: str) -> bool:
-        """A job with size thresholds must not silently run on an engine
-        that ignores them — the result set would change."""
-        if spec.min_left <= 1 and spec.min_right <= 1:
-            return True
-        params = inspect.signature(ALGORITHMS[engine]).parameters
-        return "min_left" in params
-
     def _plan_job(
         self, spec: JobSpec, graph: BipartiteGraph, graph_key: str
     ) -> tuple[list[str], Plan | None]:
         """Execution chain (requested engine first) + the plan behind it.
 
-        Three policies:
-
         * ``no_fallback`` (cluster slices: only the requested engine
           understands ``root_range``, any substitute would enumerate the
           whole graph) — the requested engine or nothing, no plan.
-        * explicit ``config.fallback`` — the legacy fixed chain through
-          :meth:`BreakerRegistry.resolve`, no plan.
-        * default — the cost-model planner ranks the fallback engines
-          for *this* graph, composed with live breaker state (an open
-          breaker demotes its engine behind every healthy one).  The
-          requested engine still runs first: the planner replaces the
-          guessed fallback order, not the caller's explicit choice.
+        * otherwise the planner ranks the fallback engines for *this*
+          graph, composed with live breaker state (an open breaker
+          demotes its engine behind every healthy one).  The requested
+          engine still runs first: the planner orders the fallbacks, not
+          the caller's explicit choice.
         """
         if spec.no_fallback:
             return ([spec.engine] if spec.engine in ALGORITHMS else []), None
-        if self.config.fallback is not None:
-            return [
-                e for e in self.breakers.resolve(spec.engine)
-                if e in ALGORITHMS and self._threshold_capable(spec, e)
-            ], None
-        plan = None
-        try:
-            plan = build_plan(
-                graph, graph_key=graph_key, store=self.store,
-                min_left=spec.min_left, min_right=spec.min_right,
-                breaker_states=self.breakers.states(),
-            )
-            ranked = plan.engine_chain()
-        except Exception:  # noqa: BLE001 - planning must never kill a job
-            ranked = [
-                e for e in FALLBACK_CHAIN
-                if e in ALGORITHMS and self._threshold_capable(spec, e)
-            ]
+        plan = build_plan(
+            graph, graph_key=graph_key,
+            min_left=spec.min_left, min_right=spec.min_right,
+            breaker_states=self.breakers.states(),
+        )
+        thresholds = spec.min_left > 1 or spec.min_right > 1
         engines = (
             [spec.engine]
             if spec.engine in ALGORITHMS
-            and self._threshold_capable(spec, spec.engine)
+            and (not thresholds or enforces_thresholds(spec.engine))
             else []
         )
-        engines.extend(e for e in ranked if e not in engines)
+        engines.extend(e for e in plan.engine_chain() if e not in engines)
         if engines:
             self.registry.counter(
                 "plan_decisions_total",

@@ -424,20 +424,13 @@ class TestProducers:
         assert kinds.cached_cost(store, kinds.graph_key(g), g) == \
             estimate_cost(g)
 
-    def test_degeneracy_stats_components_round_trip(self, tmp_path):
-        from repro.bigraph.components import connected_components
-        from repro.bigraph.ordering import degeneracy_order
+    def test_stats_round_trip(self, tmp_path):
         from repro.bigraph.stats import compute_stats
 
         g = make_g0()
         gk = kinds.graph_key(g)
         store = _store(tmp_path)
-        order_v, degen = kinds.cached_degeneracy_order(store, gk, g)
-        assert (order_v, degen) == tuple(degeneracy_order(g))
         assert kinds.cached_stats(store, gk, g) == compute_stats(g)
-        assert kinds.cached_components(store, gk, g) == [
-            (list(us), list(vs)) for us, vs in connected_components(g)
-        ]
 
     def test_precomputed_permutation_accepted_by_vertex_order(self):
         from repro.bigraph.ordering import vertex_order
@@ -537,8 +530,8 @@ class TestCliCache:
     def test_cold_run_orders_exactly_once(
         self, g0_file, tmp_path, capsys, monkeypatch
     ):
-        """The ordering produced by the cost pre-flight is threaded into
-        the engine — the same invocation never computes it twice."""
+        """The persisted ordering is threaded into the engine — the same
+        invocation never computes it twice."""
         import repro.bigraph.ordering as ordering_mod
 
         calls = []

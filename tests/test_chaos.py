@@ -22,6 +22,7 @@ from repro.chaos.invariants import (
     exact_result_set,
     no_duplicates,
     seam_fired,
+    task_ledger,
 )
 
 
@@ -269,6 +270,15 @@ class TestInvariants:
         schedule.decide("disk", "write", "/x/journal.jsonl")
         assert seam_fired(schedule, "disk").ok
 
+    def test_task_ledger_catches_a_complete_run_missing_a_task(self, g0):
+        from repro import run_mbe
+
+        result = run_mbe(g0, "parallel", workers=1)
+        check = task_ledger(result, label="resume")
+        assert check.ok and check.invariant == "task_ledger:resume"
+        result.meta["completed_tasks"] -= 1
+        assert not task_ledger(result).ok
+
 
 class TestRunnerAndCatalogue:
     def test_catalogue_covers_every_seam(self):
@@ -312,6 +322,16 @@ class TestRunnerAndCatalogue:
         samples = parse_prometheus_text(prometheus_text(registry))
         assert samples['chaos_scenarios_total{result="pass"}'] == 1
         assert samples['chaos_faults_injected_total{seam="disk"}'] >= 1
+
+    def test_single_node_cell_audits_both_task_ledgers(self, tmp_path):
+        from repro.chaos.scenarios import run_scenario
+
+        _schedule, checks = run_scenario(
+            "single_node", 0, str(tmp_path / "cell")
+        )
+        verdicts = {c.invariant: c.ok for c in checks}
+        assert verdicts["task_ledger"] and verdicts["task_ledger:resume"]
+        assert all(verdicts.values()), checks
 
     def test_unknown_scenario_is_an_error(self):
         from repro.chaos.runner import run_scenarios

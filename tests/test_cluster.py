@@ -32,7 +32,11 @@ from repro.cluster import (
     plan_slices,
 )
 from repro.cluster.journal import ClusterJournal, ClusterJournalError
-from repro.core.parallel import addressable_roots, plan_root_ranges
+from repro.core.parallel import (
+    addressable_roots,
+    plan_root_ranges,
+    subtree_estimate,
+)
 from repro.obs.sinks import parse_prometheus_text
 from repro.serve import (
     EnumerationService,
@@ -51,6 +55,11 @@ def _graph(seed=3, noise=60):
     return planted_bicliques(30, 30, 5, noise_edges=noise, seed=seed)
 
 
+def _estimates(graph):
+    """Per-root subtree estimates, as the coordinator computes them."""
+    return [subtree_estimate(graph, v)[0] for v in addressable_roots(graph)]
+
+
 def _truth(graph):
     return run_mbe(graph, "mbet", collect=True).biclique_set()
 
@@ -64,7 +73,7 @@ class TestRootRanges:
     def test_plan_covers_contiguously(self, n_slices):
         g = _graph()
         roots = addressable_roots(g)
-        ranges = plan_root_ranges(g, n_slices)
+        ranges = plan_root_ranges(_estimates(g), n_slices)
         assert 1 <= len(ranges) <= n_slices
         assert ranges[0][0] == 0 and ranges[-1][1] == len(roots)
         for (_, a_hi), (b_lo, _) in zip(ranges, ranges[1:]):
@@ -75,7 +84,7 @@ class TestRootRanges:
         g = _graph()
         truth = _truth(g)
         merged = []
-        for lo, hi in plan_root_ranges(g, 4):
+        for lo, hi in plan_root_ranges(_estimates(g), 4):
             part = run_mbe(g, "parallel", collect=True, workers=1,
                            root_range=(lo, hi))
             merged.extend(part.bicliques)
@@ -162,7 +171,7 @@ class TestSliceSpec:
 
     def test_plan_slices_ids_and_coverage(self):
         g = _graph()
-        slices = plan_slices(g, 4, {"edges": EDGES})
+        slices = plan_slices(_estimates(g), 4, {"edges": EDGES})
         n = len(addressable_roots(g))
         assert slices[0].slice_id == "s0000"
         assert slices[0].lo == 0 and slices[-1].hi == n
@@ -275,7 +284,7 @@ class TestWorkerSliceSurface:
         service, httpd, _url = _start_http_service(tmp_path, "w")
         try:
             g = BipartiteGraph([tuple(e) for e in EDGES])
-            spec = plan_slices(g, 1, {"edges": EDGES})[0]
+            spec = plan_slices(_estimates(g), 1, {"edges": EDGES})[0]
             job, dedup = service.submit_slice({
                 "slice": spec.as_dict(), "coordinator": "c-test",
             })
@@ -309,7 +318,9 @@ class TestWorkerSliceSurface:
             g = _graph()
             gpath = tmp_path / "g.txt"
             write_edge_list(g, gpath)
-            spec = plan_slices(g, 1, {"graph_path": str(gpath)})[0]
+            spec = plan_slices(
+                _estimates(g), 1, {"graph_path": str(gpath)}
+            )[0]
             job, dedup = service.submit_slice({"slice": spec.as_dict()})
             assert not dedup
             roots_entries = [
@@ -346,7 +357,7 @@ class TestWorkerSliceSurface:
         service, httpd, _url = _start_http_service(tmp_path, "w")
         try:
             g = BipartiteGraph([tuple(e) for e in EDGES])
-            spec = plan_slices(g, 1, {"edges": EDGES})[0]
+            spec = plan_slices(_estimates(g), 1, {"edges": EDGES})[0]
             bad = SliceSpec.from_dict(
                 {**spec.as_dict(), "n_roots": spec.n_roots + 1,
                  "hi": spec.n_roots + 1}
@@ -367,7 +378,7 @@ class TestWorkerSliceSurface:
         try:
             g = BipartiteGraph([tuple(e) for e in EDGES])
             spec = plan_slices(
-                g, 1, {"edges": EDGES}, graph_key=graph_key(g)
+                _estimates(g), 1, {"edges": EDGES}, graph_key=graph_key(g)
             )[0]
             # the honest key is accepted
             job, dedup = service.submit_slice({"slice": spec.as_dict()})

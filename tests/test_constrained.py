@@ -101,7 +101,8 @@ class TestParallelConstrained:
 
     def test_thresholds_with_forced_slicing(self, g0):
         # bound_height/bound_size force per-root slicing; the min_right
-        # gate in _run_root_slice must not double- or zero-report roots
+        # gate on a sliced MBET._run_subproblem must not double- or
+        # zero-report roots
         want = run_mbe(g0, "mbet", min_left=2, min_right=2).biclique_set()
         got = run_mbe(
             g0, "parallel", workers=1, bound_height=1, bound_size=1,

@@ -98,6 +98,21 @@ class TestAgreement:
         parallel = run_mbe(g, "parallel", workers=2, collect=False).count
         assert parallel == serial
 
+    def test_forced_split_runs_the_engine_store(self):
+        """Root-slice tasks build MBET's own traversed-set store: they
+        honour ``use_trie=False`` and report its node-check stats."""
+        from repro.core.parallel import addressable_roots
+
+        g = load("mti")
+        result = run_mbe(
+            g, "parallel", workers=1, bound_height=1, bound_size=1,
+            engine_options={"use_trie": False},
+        )
+        assert result.meta["tasks"] > len(addressable_roots(g))  # split
+        assert result.stats.checks > 0
+        assert result.stats.trie_peak_nodes == 0
+        assert result.biclique_set() == run_mbe(g, "mbet").biclique_set()
+
     def test_stats_aggregated(self, g0):
         result = run_mbe(g0, "parallel", workers=1, collect=False)
         assert result.stats.subtrees > 0

@@ -2,8 +2,8 @@
 
 Pinned here, mirroring docs/planning.md:
 
-* feature extraction matches the stats/components the bigraph layer
-  computes, and the persisted feature cache hits on repeat planning;
+* the plan reads only the graph's sizes: planning a zoo graph never
+  runs the 2-hop scan or the components pass;
 * the work model is one power law in the edge count that scores every
   serial engine alike, and its fit recovers planted constants;
 * golden plans: on zoo graphs the chosen engine is one the crossover
@@ -28,7 +28,6 @@ import json
 
 import pytest
 
-from repro.artifacts import ArtifactStore, kinds
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.stats import compute_stats
 from repro.cli import main
@@ -37,16 +36,12 @@ from repro.plan import (
     PLANNER_ENGINES,
     CostModel,
     PlanError,
+    PlanFeatures,
     build_plan,
-    cached_features,
-    estimate_cost,
-    extract_features,
     fit_work_model,
     recommend_slices,
     recommend_straggler_factor,
-    root_cost_estimates,
 )
-from repro.plan.features import FEATURES_VERSION, PlanFeatures
 from tests.conftest import make_g0
 
 
@@ -66,13 +61,8 @@ def _committed_crossover() -> list[dict]:
 
 
 def _zoo_features(**overrides) -> PlanFeatures:
-    """A zoo-scale feature row (the wc dataset's actual signature)."""
-    base = dict(
-        n_u=2239, n_v=2239, n_edges=17858, density=0.003562,
-        max_degree_u=294, max_degree_v=294, avg_degree=7.976,
-        degree_skew=36.86, max_two_hop=1519, cost=27126302,
-        n_components=1, largest_component_frac=1.0,
-    )
+    """Zoo-scale sizes (2,239 x 2,239 vertices, 17,858 edges)."""
+    base = dict(n_u=2239, n_v=2239, n_edges=17858)
     base.update(overrides)
     return PlanFeatures(**base)
 
@@ -83,40 +73,46 @@ def _zoo_features(**overrides) -> PlanFeatures:
 
 class TestFeatures:
     def test_extract_matches_stats_layer(self, g0):
-        feats = extract_features(g0)
+        feats = PlanFeatures.from_graph(g0)
         stats = compute_stats(g0)
-        assert feats.n_u == g0.n_u and feats.n_v == g0.n_v
-        assert feats.n_edges == g0.n_edges
-        assert feats.max_two_hop == max(
-            stats.max_two_hop_u, stats.max_two_hop_v
+        assert (feats.n_u, feats.n_v, feats.n_edges) == (
+            stats.n_u, stats.n_v, stats.n_edges
         )
-        assert feats.cost == estimate_cost(g0)
-        assert feats.n_components == 1
-        assert feats.largest_component_frac == 1.0
 
     def test_round_trip_ignores_unknown_fields(self, g0):
-        feats = extract_features(g0)
+        feats = PlanFeatures.from_graph(g0)
         payload = feats.as_dict()
         payload["future_field"] = 42
         assert PlanFeatures.from_dict(payload) == feats
 
-    def test_cached_features_hit_and_miss(self, tmp_path, g0):
-        store = ArtifactStore(tmp_path / "store")
-        gk = kinds.graph_key(g0)
-        cold = cached_features(store, gk, g0)
-        warm = cached_features(store, gk, g0)
-        assert cold == warm == extract_features(g0)
-        entries = [e for e in store.entries() if e.kind == "plan_features"]
-        assert len(entries) == 1
-        assert entries[0].fingerprint == FEATURES_VERSION
+    def test_plan_never_scans_the_graph(self, monkeypatch):
+        """Planning a zoo graph reads its sizes and nothing else: with the
+        2-hop scan, the components pass and the 2-hop helpers rigged to
+        raise, the plan equals the one planned from the committed
+        crossover row's (wider) signature of the same graph."""
+        import repro.bigraph.components as components_mod
+        import repro.bigraph.stats as stats_mod
+        from repro import datasets
 
-    def test_feature_cache_version_is_part_of_the_key(self, tmp_path, g0):
-        store = ArtifactStore(tmp_path / "store")
-        gk = kinds.graph_key(g0)
-        cached_features(store, gk, g0)
-        # a row stored under another version must not answer this one
-        assert store.get(gk, "plan_features", "v0-obsolete") is None
-        assert store.get(gk, "plan_features", FEATURES_VERSION) is not None
+        graph = datasets.load("wc")
+        (row,) = [
+            c["features"] for c in _committed_crossover()
+            if c["dataset"] == "wc" and c["engine"] == "mbet"
+        ]
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("the planner scanned the graph")
+
+        monkeypatch.setattr(stats_mod, "compute_stats", boom)
+        monkeypatch.setattr(components_mod, "connected_components", boom)
+        monkeypatch.setattr(BipartiteGraph, "two_hop_u", boom)
+        monkeypatch.setattr(BipartiteGraph, "two_hop_v", boom)
+        for cores in (1, 2, 16):
+            plan = build_plan(graph, n_cores=cores)
+            expected = build_plan(
+                features=PlanFeatures.from_dict(row), n_cores=cores
+            )
+            assert plan.as_dict() == expected.as_dict()
 
 
 # --------------------------------------------------------------------------
@@ -147,8 +143,8 @@ class TestCostModel:
         assert model.serial_seconds(feats) == pytest.approx(
             WORK_SCALE * feats.n_edges ** WORK_EXPONENT
         )
-        # no density (or any other) term: only the edge count matters
-        denser = _zoo_features(density=0.9, cost=10**12, degree_skew=500.0)
+        # no density term: the side sizes do not move the prediction
+        denser = _zoo_features(n_u=30, n_v=30)
         assert model.serial_seconds(denser) == model.serial_seconds(feats)
 
     def test_parallel_prediction_needs_cores_to_win(self):
@@ -253,9 +249,7 @@ class TestBuildPlan:
         assert "bar" in para.reasons[0]
 
     def test_parallel_wins_on_heavy_graph_with_cores(self):
-        heavy = _zoo_features(
-            n_edges=300_000, cost=3_000_000_000, max_two_hop=30_000
-        )
+        heavy = _zoo_features(n_edges=300_000)
         plan = build_plan(features=heavy, n_cores=16)
         para = next(c for c in plan.candidates if c.engine == "parallel")
         assert para.eligible
@@ -266,9 +260,7 @@ class TestBuildPlan:
         assert small.budget_seconds == pytest.approx(max(
             5.0, 20.0 * small.chosen.predicted_seconds
         ))
-        huge = _zoo_features(
-            n_edges=3_000_000, cost=50_000_000_000, max_two_hop=100_000
-        )
+        huge = _zoo_features(n_edges=3_000_000)
         assert build_plan(features=huge, n_cores=1).budget_seconds == 600.0
 
     def test_empty_pool_raises_plan_error(self, g0):
@@ -293,19 +285,6 @@ class TestBuildPlan:
         assert payload["chosen"]["engine"] == plan.chosen.engine
         assert payload["model_version"] == plan.model_version
         assert len(payload["candidates"]) == len(plan.candidates)
-
-    def test_store_backed_plan_uses_cached_features(self, tmp_path, g0):
-        store = ArtifactStore(tmp_path / "store")
-        gk = kinds.graph_key(g0)
-        first = build_plan(g0, graph_key=gk, store=store)
-        assert first.graph_key == gk
-        # repeat planning answers from the persisted feature row
-        hits_before = [
-            e for e in store.entries() if e.kind == "plan_features"
-        ]
-        assert len(hits_before) == 1
-        second = build_plan(g0, graph_key=gk, store=store)
-        assert second.features == first.features
 
     def test_planner_choice_enumerates_exactly(self, g0):
         from tests.conftest import G0_MAXIMAL
@@ -393,7 +372,7 @@ class TestOffZoo:
 
     @pytest.mark.parametrize("name", sorted(_off_zoo_probes()))
     def test_probe_plans_serial_mbet_with_floor_budget(self, name):
-        feats = extract_features(_off_zoo_probes()[name])
+        feats = PlanFeatures.from_graph(_off_zoo_probes()[name])
         for cores in (1, 2, 16):
             plan = build_plan(features=feats, n_cores=cores)
             assert plan.chosen.engine == "mbet"
@@ -410,14 +389,6 @@ class TestOffZoo:
 
 
 class TestClusterEstimates:
-    def test_root_cost_estimates_cover_addressable_roots(self):
-        g = make_g0()
-        from repro.core.parallel import addressable_roots
-
-        estimates = root_cost_estimates(g)
-        assert len(estimates) == len(addressable_roots(g, "degree", seed=0))
-        assert all(e >= 0 for e in estimates)
-
     def test_recommend_slices_baseline_and_skew(self):
         flat = [10] * 40
         assert recommend_slices(3, flat) == 6  # 2 x workers

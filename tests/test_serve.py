@@ -896,10 +896,11 @@ class TestEnumerationService:
         """When every engine in the chain fails, the job fails with a
         machine-readable exhaustion report — engines tried and per-engine
         causes — not just a flattened message."""
-        service = _make_service(tmp_path, fallback=())  # chain: just crashy
+        service = _make_service(tmp_path)
         try:
+            # no_fallback: the chain is just the crashy engine
             job, _ = service.submit({"engine": _CrashyMBE.name,
-                                     "edges": EDGES})
+                                     "edges": EDGES, "no_fallback": True})
             assert _wait_terminal(service, job.job_id) == "failed"
             payload = service.result(job.job_id)
             summary = payload["summary"]
@@ -909,7 +910,7 @@ class TestEnumerationService:
             assert "synthetic engine crash" in payload["error"]
             # the structured report survives a restart via the journal
             service.drain(timeout=2)
-            second = _make_service(tmp_path, start=False, fallback=())
+            second = _make_service(tmp_path, start=False)
             try:
                 replayed = second.result(job.job_id)
                 assert replayed["summary"]["error_kind"] == \
@@ -922,14 +923,15 @@ class TestEnumerationService:
     def test_exhaustion_over_http_is_a_clean_failed_job_not_a_500(
         self, tmp_path
     ):
-        service = _make_service(tmp_path, fallback=())
+        service = _make_service(tmp_path)
         httpd = make_http_server(service)
         threading.Thread(target=httpd.serve_forever,
                          kwargs={"poll_interval": 0.05}, daemon=True).start()
         client = _Client(httpd.server_address[1])
         try:
             status, payload = client.request(
-                "POST", "/jobs", {"engine": _CrashyMBE.name, "edges": EDGES}
+                "POST", "/jobs", {"engine": _CrashyMBE.name, "edges": EDGES,
+                                  "no_fallback": True}
             )
             assert status == 202
             _wait_terminal(service, payload["job_id"])
@@ -1487,18 +1489,6 @@ class TestServePlanner:
             demoted_plan = build_plan(graph, breaker_states={top: "open"})
             chain = demoted_plan.engine_chain()
             assert top == chain[-1]
-        finally:
-            service.drain(timeout=2)
-
-    def test_explicit_fallback_config_overrides_planner(self, tmp_path):
-        service = _make_service(tmp_path, fallback=("mbea",))
-        try:
-            job, _ = service.submit(
-                {"engine": _CrashyMBE.name, "edges": EDGES}
-            )
-            assert _wait_terminal(service, job.job_id) == "done"
-            payload = service.result(job.job_id)
-            assert payload["summary"]["engine"] == "mbea"
         finally:
             service.drain(timeout=2)
 

@@ -97,19 +97,20 @@ def crossover_snapshot(
     """Measure the zoo × engines crossover matrix the planner trains on.
 
     Every cell carries the graph's :class:`repro.plan.PlanFeatures`
-    signature next to the measured wall clock, which is exactly the
-    record shape :func:`repro.plan.fit_work_model` consumes.  Cells
+    sizes record (``n_u``, ``n_v``, ``n_edges``) next to the measured
+    wall clock, which is exactly the record shape
+    :func:`repro.plan.fit_work_model` consumes.  Cells
     that hit the budget are recorded ``complete: false`` — a truncated
     elapsed is a lower bound, so calibration skips them.  The refit
     work-model constants ride along under ``work_model`` (null when the
     matrix has too few complete ``mbet`` cells to fit).
     """
-    from repro.plan import extract_features, fit_work_model
+    from repro.plan import PlanFeatures, fit_work_model
 
     cells: list[dict] = []
     for name in dataset_names:
         graph = datasets.load(name)
-        features = extract_features(graph).as_dict()
+        features = PlanFeatures.from_graph(graph).as_dict()
         for engine in engines:
             record = run_timed(
                 graph, engine, dataset=name, time_limit=time_limit,
