@@ -57,7 +57,6 @@ from repro.bigraph.matrix import (
 )
 from repro.core import (
     Biclique,
-    EnumerationLimits,
     EnumerationStats,
     MBEResult,
     MBET,
@@ -98,7 +97,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointWriter",
     "DynamicMBE",
-    "EnumerationLimits",
     "EnumerationStats",
     "FaultPlan",
     "GraphBuilder",

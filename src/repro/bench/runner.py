@@ -13,7 +13,8 @@ import tracemalloc
 from dataclasses import dataclass
 
 from repro.bigraph.graph import BipartiteGraph
-from repro.core.base import ALGORITHMS, EnumerationLimits, MBEResult
+from repro.core.base import ALGORITHMS, MBEResult
+from repro.runtime.budget import RunBudget
 
 
 @dataclass
@@ -78,16 +79,10 @@ def run_timed(
     best: MBEResult | None = None
     for _ in range(repeats):
         algo = factory(**options)
-        limits = EnumerationLimits(time_limit=time_limit)
-        if algorithm == "parallel":
-            result = algo.run(  # limits unsupported
-                graph, collect=False, instrumentation=instrumentation
-            )
-        else:
-            result = algo.run(
-                graph, collect=False, limits=limits,
-                instrumentation=instrumentation,
-            )
+        result = algo.run(
+            graph, collect=False, budget=RunBudget(time_limit=time_limit),
+            instrumentation=instrumentation,
+        )
         if best is None or result.elapsed < best.elapsed:
             best = result
         if not result.complete:

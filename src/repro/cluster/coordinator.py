@@ -55,6 +55,14 @@ __all__ = ["ClusterConfig", "ClusterCoordinator", "ClusterResult"]
 #: Worker job states that still mean "keep polling".
 _IN_FLIGHT_STATES = frozenset({"queued", "running", "interrupted"})
 
+#: Upper bound (seconds) of the random jitter added to a retry's backoff.
+_RETRY_JITTER = 0.25
+#: Completed slices needed before the straggler median is trusted.
+_STRAGGLER_MIN_COMPLETED = 3
+#: Concurrent slices per worker (the parallel engine serialises
+#: per-process, so more than 1 mostly queues).
+_MAX_INFLIGHT_PER_WORKER = 1
+
 
 @dataclass
 class ClusterConfig:
@@ -78,7 +86,6 @@ class ClusterConfig:
     #: re-dispatches of one slice before it is declared failed
     max_slice_retries: int = 4
     retry_backoff: float = 0.25
-    retry_jitter: float = 0.25
     #: re-split an in-flight slice once it runs longer than
     #: ``straggler_factor ×`` the median completed-slice duration;
     #: ``"auto"`` (default) derives the factor from the planner's
@@ -86,10 +93,6 @@ class ClusterConfig:
     #: legitimately runs ``skew ×`` the typical one, so skewed graphs
     #: get a laxer threshold); None disables straggler mitigation
     straggler_factor: float | str | None = "auto"
-    straggler_min_completed: int = 3
-    #: concurrent slices per worker (the parallel engine serialises
-    #: per-process, so more than 1 mostly queues)
-    max_inflight_per_worker: int = 1
     #: give up when every worker has been dead this long
     all_dead_timeout: float = 15.0
     request_timeout: float = 10.0
@@ -366,7 +369,7 @@ class ClusterCoordinator:
         # re-attach: inflight slices poll their last known worker job,
         # and must be registered in that worker's inflight set so
         # `_mark_dead` reclaims them if the owner never comes back (and
-        # so `max_inflight_per_worker` accounting stays honest).
+        # so the per-worker in-flight accounting stays honest).
         # Anything unresolved goes back to pending immediately.
         for state in self._slices.values():
             if state.status != "inflight":
@@ -563,16 +566,15 @@ class ClusterCoordinator:
     def _backoff_gate(self, attempts: int) -> float:
         cfg = self.config
         delay = cfg.retry_backoff * (2 ** max(0, attempts - 1))
-        delay += self._rng.uniform(0, cfg.retry_jitter)
+        delay += self._rng.uniform(0, _RETRY_JITTER)
         return time.monotonic() + delay
 
     # -- dispatch / polling ------------------------------------------------
 
     def _pick_worker(self, state: _SliceState) -> _WorkerState | None:
-        cfg = self.config
         candidates = [
             w for w in self._workers.values()
-            if w.alive and len(w.inflight) < cfg.max_inflight_per_worker
+            if w.alive and len(w.inflight) < _MAX_INFLIGHT_PER_WORKER
         ]
         if not candidates:
             return None
@@ -780,10 +782,9 @@ class ClusterCoordinator:
             )
 
     def _check_stragglers(self) -> None:
-        cfg = self.config
         if self._straggler_factor is None:
             return
-        if len(self._durations) < cfg.straggler_min_completed:
+        if len(self._durations) < _STRAGGLER_MIN_COMPLETED:
             return
         median = statistics.median(self._durations)
         limit = max(0.5, self._straggler_factor * median)

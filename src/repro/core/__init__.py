@@ -18,9 +18,7 @@ level) runs any registered algorithm by name and returns an
 from repro.core.base import (
     ALGORITHMS,
     Biclique,
-    EnumerationLimits,
     EnumerationStats,
-    LimitReached,
     MBEResult,
     available_algorithms,
     run_mbe,
@@ -45,11 +43,9 @@ __all__ = [
     "Biclique",
     "BruteForceMBE",
     "BudgetExceeded",
-    "EnumerationLimits",
     "EnumerationStats",
     "FaultPlan",
     "IMBEA",
-    "LimitReached",
     "MBEA",
     "MBEResult",
     "MBET",

@@ -1,4 +1,4 @@
-"""Shared framework for all MBE algorithms: results, stats, limits, registry.
+"""Shared framework for all MBE algorithms: results, stats, the run, registry.
 
 Every algorithm subclasses :class:`MBEAlgorithm` and implements a single
 method that walks its enumeration tree and calls ``report(ls, rs)`` for each
@@ -6,7 +6,9 @@ maximal biclique.  The framework supplies:
 
 * canonical :class:`Biclique` values (sorted tuples on both sides),
 * :class:`EnumerationStats` counters every experiment reads,
-* result-count / wall-clock limits that abort enumeration cleanly,
+* one run session (:meth:`MBEAlgorithm._session`) that every driver goes
+  through: orientation, size thresholds, run budgets, recursion limit,
+  instrumentation and the one reporting sink,
 * an algorithm registry so benchmarks and the CLI can select by name.
 """
 
@@ -17,7 +19,7 @@ import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.bigraph.graph import BipartiteGraph
 from repro.obs.metrics import NULL_INSTRUMENTATION, Instrumentation
@@ -94,6 +96,16 @@ class EnumerationStats:
         """Return all counters as a plain dict (for tables and JSON)."""
         return {name: getattr(self, name) for name in self.__slots__}
 
+    @classmethod
+    def from_dict(cls, counters: dict[str, int]) -> "EnumerationStats":
+        """Rebuild stats from :meth:`as_dict` output (worker results,
+        checkpoint records); unknown keys are ignored."""
+        stats = cls()
+        for name in cls.__slots__:
+            if name in counters:
+                setattr(stats, name, counters[name])
+        return stats
+
     def merge(self, other: "EnumerationStats") -> None:
         """Accumulate another stats object (peaks take the max)."""
         for name in self.__slots__:
@@ -105,63 +117,6 @@ class EnumerationStats:
     def __repr__(self) -> str:
         body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items() if v)
         return f"EnumerationStats({body})"
-
-
-class LimitReached(BudgetExceeded):
-    """Raised internally to abort enumeration when a limit is hit.
-
-    Kept as a subclass of :class:`repro.runtime.budget.BudgetExceeded` for
-    backward compatibility; new code should raise/catch the base class.
-    """
-
-
-@dataclass
-class EnumerationLimits:
-    """Optional bounds on one enumeration run.
-
-    ``max_bicliques`` stops after that many results; ``time_limit`` (seconds)
-    stops at the first node boundary past the deadline.  A run cut short is
-    flagged ``MBEResult.complete == False`` but keeps everything found.
-
-    This is the thin, stable façade over :class:`repro.runtime.RunBudget`;
-    pass a ``budget`` to :meth:`MBEAlgorithm.run` / :func:`run_mbe` for the
-    full set of stop conditions (node caps, external cancellation).
-    """
-
-    max_bicliques: int | None = None
-    time_limit: float | None = None
-
-    def validate(self) -> None:
-        """Raise ValueError on out-of-range limits."""
-        if self.max_bicliques is not None and self.max_bicliques < 0:
-            raise ValueError("max_bicliques must be non-negative")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
-
-    def as_budget(self) -> RunBudget | None:
-        """Promote to a :class:`RunBudget`; None when nothing is bounded."""
-        self.validate()
-        if self.max_bicliques is None and self.time_limit is None:
-            return None
-        return RunBudget(
-            time_limit=self.time_limit, max_bicliques=self.max_bicliques
-        )
-
-
-def resolve_budget(
-    limits: EnumerationLimits | None, budget: RunBudget | None
-) -> RunBudget | None:
-    """Collapse the two budget-shaped run parameters into one.
-
-    An explicit ``budget`` wins; otherwise ``limits`` is promoted.  Returns
-    None when the run is entirely unbounded (the zero-overhead path).
-    """
-    if budget is not None:
-        budget.validate()
-        return None if budget.unbounded else budget
-    if limits is not None:
-        return limits.as_budget()
-    return None
 
 
 @dataclass
@@ -184,109 +139,110 @@ class MBEResult:
 
 
 class _Sink:
-    """Internal reporter: collection and counting only.
+    """The one reporter: every run hands it to its engine as ``report``.
 
-    This is the unbudgeted hot path — no limit branches, no clock reads.
-    Budgeted runs use :class:`_GuardedSink` instead.
+    Each call counts one maximal biclique.  When collecting, the result
+    is canonicalized into a :class:`Biclique` in the caller's orientation
+    and either kept in ``results`` or handed to a caller-owned ``hook``
+    (the streaming seam that lets the serving layer degrade from in-RAM
+    collection to spooling to count-only mid-run).  ``guard`` (an armed
+    budget, enforcing the exact result cap) and ``instr`` (enabled
+    instrumentation, driving progress heartbeats) are None when absent,
+    so the plain path pays two ``is None`` branches and no clock reads.
     """
 
-    __slots__ = ("collect", "results", "count", "swapped")
-
-    def __init__(self, collect: bool, swapped: bool):
-        self.collect = collect
-        self.results: list[Biclique] = []
-        self.count = 0
-        self.swapped = swapped
-
-    def __call__(self, left: Iterable[int], right: Iterable[int]) -> None:
-        self.count += 1
-        if self.collect:
-            b = Biclique.make(left, right)
-            self.results.append(b.swap() if self.swapped else b)
-
-
-class _GuardedSink(_Sink):
-    """Reporter that additionally consults a budget guard per result."""
-
-    __slots__ = ("guard",)
-
-    def __init__(self, collect: bool, swapped: bool, guard: BudgetGuard):
-        super().__init__(collect, swapped)
-        self.guard = guard
-
-    def __call__(self, left: Iterable[int], right: Iterable[int]) -> None:
-        self.count += 1
-        if self.collect:
-            b = Biclique.make(left, right)
-            self.results.append(b.swap() if self.swapped else b)
-        self.guard.on_report(self.count)
-
-
-class _InstrumentedSink(_Sink):
-    """Reporter that additionally feeds the instrumentation per result.
-
-    Separate subclasses (rather than optional branches in :class:`_Sink`)
-    keep the plain un-instrumented, unbudgeted path free of any extra
-    work — the same layering as the budget guard sinks.
-    """
-
-    __slots__ = ("instr", "stats")
+    __slots__ = (
+        "collect", "swapped", "hook", "guard", "instr", "stats", "results",
+        "count",
+    )
 
     def __init__(self, collect: bool, swapped: bool,
-                 instr: Instrumentation, stats: "EnumerationStats"):
-        super().__init__(collect, swapped)
-        self.instr = instr
-        self.stats = stats
-
-    def __call__(self, left: Iterable[int], right: Iterable[int]) -> None:
-        super().__call__(left, right)
-        self.instr.on_report(self.count, self.stats)
-
-
-class _GuardedInstrumentedSink(_GuardedSink):
-    """Budget-guarded reporter that also feeds the instrumentation."""
-
-    __slots__ = ("instr", "stats")
-
-    def __init__(self, collect: bool, swapped: bool, guard: BudgetGuard,
-                 instr: Instrumentation, stats: "EnumerationStats"):
-        super().__init__(collect, swapped, guard)
-        self.instr = instr
-        self.stats = stats
-
-    def __call__(self, left: Iterable[int], right: Iterable[int]) -> None:
-        super().__call__(left, right)
-        self.instr.on_report(self.count, self.stats)
-
-
-class _HookSink(_Sink):
-    """Reporter that hands each canonical biclique to a caller-owned hook.
-
-    The hook owns storage (``MBEResult.bicliques`` stays ``None``), which
-    is what lets the serving layer degrade from in-RAM collection to
-    spooling to count-only *mid-run*.  This path tolerates per-result
-    branches on the guard/instrumentation, so one class covers the whole
-    budgeted × instrumented matrix.
-    """
-
-    __slots__ = ("hook", "guard", "instr", "stats")
-
-    def __init__(self, swapped: bool, hook: Callable[["Biclique"], None],
-                 guard, instr, stats: "EnumerationStats"):
-        super().__init__(False, swapped)
+                 hook: Callable[[Biclique], None] | None,
+                 guard: BudgetGuard | None,
+                 instr: Instrumentation | None,
+                 stats: EnumerationStats):
+        self.collect = collect or hook is not None
+        self.swapped = swapped
         self.hook = hook
         self.guard = guard
         self.instr = instr
         self.stats = stats
+        self.results: list[Biclique] = []
+        self.count = 0
 
     def __call__(self, left: Iterable[int], right: Iterable[int]) -> None:
         self.count += 1
-        b = Biclique.make(left, right)
-        self.hook(b.swap() if self.swapped else b)
-        if self.guard is not NULL_GUARD:
+        if self.collect:
+            b = Biclique.make(left, right)
+            if self.swapped:
+                b = b.swap()
+            if self.hook is None:
+                self.results.append(b)
+            else:
+                self.hook(b)
+        if self.guard is not None:
             self.guard.on_report(self.count)
-        if self.instr.enabled:
+        if self.instr is not None:
             self.instr.on_report(self.count, self.stats)
+
+    def absorb(self, count: int, bicliques: list[Biclique] | None) -> None:
+        """Take ``count`` results found elsewhere (worker tasks, checkpoint
+        records); ``bicliques`` are canonical and in work orientation."""
+        self.count += count
+        if not (self.collect and bicliques):
+            return
+        if self.swapped:
+            bicliques = [b.swap() for b in bicliques]
+        if self.hook is None:
+            self.results.extend(bicliques)
+        else:
+            for b in bicliques:
+                self.hook(b)
+
+
+class _Run:
+    """One run in progress, as :meth:`MBEAlgorithm._session` yields it.
+
+    ``graph`` is the work graph (oriented when the engine asks for it),
+    ``sink`` the reporter and ``work`` the session's ``plan`` output.
+    The session sets ``complete``/``stopped`` when a budget trips; a
+    driver that accounts for completeness itself (the parallel task
+    ledger) sets them before the body ends.
+    """
+
+    __slots__ = (
+        "algorithm", "graph", "stats", "sink", "work", "started", "elapsed",
+        "complete", "stopped",
+    )
+
+    def __init__(self, algorithm: str, graph: BipartiteGraph,
+                 stats: EnumerationStats, sink: _Sink):
+        self.algorithm = algorithm
+        self.graph = graph
+        self.stats = stats
+        self.sink = sink
+        self.work = None
+        self.started = self.elapsed = 0.0
+        self.complete = True
+        self.stopped: str | None = None
+
+    def result(self, meta: dict | None = None) -> MBEResult:
+        """The finished run as an :class:`MBEResult`."""
+        meta = {} if meta is None else meta
+        if self.stopped:
+            meta["stopped"] = self.stopped
+        sink = self.sink
+        return MBEResult(
+            algorithm=self.algorithm,
+            count=sink.count,
+            elapsed=self.elapsed,
+            stats=self.stats,
+            bicliques=(
+                sink.results if sink.collect and sink.hook is None else None
+            ),
+            complete=self.complete,
+            meta=meta,
+        )
 
 
 class MBEAlgorithm(ABC):
@@ -317,26 +273,6 @@ class MBEAlgorithm(ABC):
     def __init__(self, orient_smaller_v: bool = False):
         self.orient_smaller_v = orient_smaller_v
 
-    @contextmanager
-    def _oriented_thresholds(self, swapped: bool):
-        """Swap ``min_left``/``min_right`` while enumerating a swapped graph.
-
-        Size thresholds are stated in the caller's coordinates; once
-        orientation swaps the sides, the constraint on the caller's left
-        side binds the work graph's right side and vice versa.  Engines
-        without thresholds pass through untouched.
-        """
-        ml = getattr(self, "min_left", None)
-        mr = getattr(self, "min_right", None)
-        if not swapped or ml is None or mr is None or ml == mr:
-            yield
-            return
-        self.min_left, self.min_right = mr, ml
-        try:
-            yield
-        finally:
-            self.min_left, self.min_right = ml, mr
-
     @abstractmethod
     def _enumerate(
         self,
@@ -346,11 +282,101 @@ class MBEAlgorithm(ABC):
     ) -> None:
         """Walk the enumeration tree, calling ``report`` per maximal biclique."""
 
+    @contextmanager
+    def _session(
+        self,
+        graph: BipartiteGraph,
+        budget: RunBudget | None = None,
+        instrumentation: Instrumentation | None = None,
+        collect: bool = True,
+        on_biclique: Callable[[Biclique], None] | None = None,
+        plan: Callable[[BipartiteGraph], list] | None = None,
+    ) -> Iterator[_Run]:
+        """The run protocol every driver goes through.
+
+        On entry the session orients the graph, swaps the size thresholds
+        into the work graph's coordinates, arms the budget, builds the
+        sink, sizes the recursion limit, installs the guard and the
+        instrumentation on the engine, runs ``plan(work_graph)`` (if
+        given) as the ``decompose`` phase and starts the run
+        (``begin_run``).  The body runs as the ``enumerate`` phase; a
+        tripped budget ends it with ``complete=False`` and the stop
+        reason.  On exit everything installed is restored and the run is
+        published (``end_run``); other exceptions propagate unpublished.
+        """
+        instr = (
+            instrumentation if instrumentation is not None
+            else NULL_INSTRUMENTATION
+        )
+        if budget is not None:
+            budget.validate()
+            if budget.unbounded:
+                budget = None  # the zero-overhead path
+        work_graph, swapped = (
+            graph.oriented_smaller_v() if self.orient_smaller_v else (graph, False)
+        )
+        stats = EnumerationStats()
+        guard = NULL_GUARD if budget is None else budget.arm()
+        sink = _Sink(
+            collect, swapped, on_biclique,
+            guard if budget is not None else None,
+            instr if instr.enabled else None, stats,
+        )
+        run = _Run(self.name, work_graph, stats, sink)
+        # Size thresholds are stated in the caller's coordinates; on a
+        # swapped work graph the caller's left-side bound binds the right
+        # side.  Engines without thresholds have nothing to swap.
+        swap_thresholds = swapped and hasattr(self, "min_left")
+        if swap_thresholds:
+            self.min_left, self.min_right = self.min_right, self.min_left
+        # Enumeration recursion is bounded by the V side, but signature
+        # chains inside a subtree can be as deep as the largest left
+        # universe, so size the limit on both sides.  Pure-Python recursion
+        # in CPython >= 3.11 does not grow the C stack per frame.
+        depth_need = 4 * (work_graph.n_v + work_graph.n_u + 64)
+        old_limit = sys.getrecursionlimit()
+        if depth_need > old_limit:
+            sys.setrecursionlimit(depth_need)
+        self._guard = guard
+        self._instr = instr
+        try:
+            if plan is not None:
+                with instr.phase("decompose"):
+                    run.work = plan(work_graph)
+            if instr.enabled:
+                instr.begin_run(
+                    self.name, stats,
+                    total_subtrees=(
+                        len(run.work) if plan is not None
+                        else sum(1 for v in range(work_graph.n_v)
+                                 if work_graph.degree_v(v) > 0)
+                    ),
+                )
+            run.started = time.perf_counter()
+            try:
+                with instr.phase("enumerate"):
+                    yield run
+            except BudgetExceeded as exc:
+                run.complete = False
+                run.stopped = exc.reason or guard.reason or "limit"
+            run.elapsed = time.perf_counter() - run.started
+        finally:
+            self._guard = NULL_GUARD
+            self._instr = NULL_INSTRUMENTATION
+            if swap_thresholds:
+                self.min_left, self.min_right = self.min_right, self.min_left
+            if depth_need > old_limit:
+                sys.setrecursionlimit(old_limit)
+        stats.maximal = sink.count
+        if instr.enabled:
+            instr.end_run(
+                self.name, stats, run.elapsed, sink.count, run.complete
+            )
+
     def run(
         self,
         graph: BipartiteGraph,
         collect: bool = True,
-        limits: EnumerationLimits | None = None,
         budget: RunBudget | None = None,
         instrumentation: Instrumentation | None = None,
         on_biclique: Callable[[Biclique], None] | None = None,
@@ -361,9 +387,8 @@ class MBEAlgorithm(ABC):
         the large benchmarks use (storing tens of thousands of bicliques
         would measure the allocator, not the algorithm).
 
-        ``budget`` (or the simpler ``limits``) bounds the run; a tripped
-        budget yields a partial result with ``complete=False`` and the
-        stop reason in ``meta["stopped"]``.
+        ``budget`` bounds the run; a tripped budget yields a partial result
+        with ``complete=False`` and the stop reason in ``meta["stopped"]``.
 
         ``instrumentation`` attaches the observability subsystem
         (``docs/observability.md``): the ``enumerate`` phase is timed as a
@@ -379,77 +404,11 @@ class MBEAlgorithm(ABC):
         layer's memory watchdog uses to swap collection strategies
         mid-run (``docs/serving.md``).
         """
-        budget = resolve_budget(limits, budget)
-        instr = (
-            instrumentation if instrumentation is not None
-            else NULL_INSTRUMENTATION
-        )
-        work_graph, swapped = (
-            graph.oriented_smaller_v() if self.orient_smaller_v else (graph, False)
-        )
-        stats = EnumerationStats()
-        guard = NULL_GUARD if budget is None else budget.arm()
-        if on_biclique is not None:
-            collect = False
-            sink = _HookSink(swapped, on_biclique, guard, instr, stats)
-        elif budget is None:
-            sink = (
-                _InstrumentedSink(collect, swapped, instr, stats)
-                if instr.enabled
-                else _Sink(collect, swapped)
-            )
-        else:
-            sink = (
-                _GuardedInstrumentedSink(collect, swapped, guard, instr, stats)
-                if instr.enabled
-                else _GuardedSink(collect, swapped, guard)
-            )
-
-        # Enumeration recursion is bounded by the V side, but signature
-        # chains inside a subtree can be as deep as the largest left
-        # universe, so size the limit on both sides.  Pure-Python recursion
-        # in CPython >= 3.11 does not grow the C stack per frame.
-        depth_need = 4 * (work_graph.n_v + work_graph.n_u + 64)
-        old_limit = sys.getrecursionlimit()
-        if depth_need > old_limit:
-            sys.setrecursionlimit(depth_need)
-        if instr.enabled:
-            instr.begin_run(
-                self.name, stats,
-                total_subtrees=sum(
-                    1 for v in range(work_graph.n_v)
-                    if work_graph.degree_v(v) > 0
-                ),
-            )
-        start = time.perf_counter()
-        complete = True
-        stopped: str | None = None
-        self._guard = guard
-        self._instr = instr
-        try:
-            with instr.phase("enumerate"), self._oriented_thresholds(swapped):
-                self._enumerate(work_graph, sink, stats)
-        except BudgetExceeded as exc:
-            complete = False
-            stopped = exc.reason or guard.reason or "limit"
-        finally:
-            self._guard = NULL_GUARD
-            self._instr = NULL_INSTRUMENTATION
-            if depth_need > old_limit:
-                sys.setrecursionlimit(old_limit)
-        elapsed = time.perf_counter() - start
-        stats.maximal = sink.count
-        if instr.enabled:
-            instr.end_run(self.name, stats, elapsed, sink.count, complete)
-        return MBEResult(
-            algorithm=self.name,
-            count=sink.count,
-            elapsed=elapsed,
-            stats=stats,
-            bicliques=sink.results if collect else None,
-            complete=complete,
-            meta={"stopped": stopped} if stopped else {},
-        )
+        with self._session(
+            graph, budget, instrumentation, collect, on_biclique
+        ) as run:
+            self._enumerate(run.graph, run.sink, run.stats)
+        return run.result()
 
 
 #: name -> algorithm factory; populated by the algorithm modules at import.

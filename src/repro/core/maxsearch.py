@@ -95,26 +95,12 @@ def find_maximum_biclique(
     algo = _MaximumSearch(
         objective, min_left=min_left, min_right=min_right, order=order
     )
-    stats = EnumerationStats()
-
-    def report(left, right):
-        algo.observe(left, right)
-
-    import sys
-
-    depth_need = 4 * (graph.n_v + graph.n_u + 64)
-    old_limit = sys.getrecursionlimit()
-    if depth_need > old_limit:
-        sys.setrecursionlimit(depth_need)
-    try:
-        algo._enumerate(graph, report, stats)
-    finally:
-        if depth_need > old_limit:
-            sys.setrecursionlimit(old_limit)
-    stats.maximal = 1 if algo.best is not None else 0
+    with algo._session(graph, collect=False) as run:
+        algo._enumerate(run.graph, algo.observe, run.stats)
+    run.stats.maximal = 1 if algo.best is not None else 0
     return MaximumBicliqueResult(
         biclique=algo.best,
         value=algo.best_value,
         objective=objective,
-        stats=stats,
+        stats=run.stats,
     )

@@ -38,7 +38,7 @@ is ever lost (property-tested against filtered brute force).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.base import EnumerationStats, MBEAlgorithm, register
@@ -165,6 +165,21 @@ class MBET(MBEAlgorithm):
         report: Callable[[Sequence[int], Sequence[int]], None],
         stats: EnumerationStats,
     ) -> None:
+        for _ in self._subtrees(graph, report, stats):
+            pass
+
+    def _subtrees(
+        self,
+        graph: BipartiteGraph,
+        report: Callable[[Sequence[int], Sequence[int]], None],
+        stats: EnumerationStats,
+    ) -> Iterator[None]:
+        """Run every first-level subproblem, yielding after each one.
+
+        :meth:`_enumerate` drains it; the progressive driver
+        (:meth:`repro.core.mbetm.MBETM.iter_bicliques`) hands out the
+        results found between two steps.
+        """
         # iter_subproblems probes the guard per root vertex, so a deadline
         # binds even when whole stretches of subproblems are pruned or
         # report nothing (the node-level tick alone would let a barren
@@ -172,28 +187,10 @@ class MBET(MBEAlgorithm):
         for sub in iter_subproblems(
             graph, self.order, seed=self.seed, guard=self._guard
         ):
-            if not self._accept_subproblem(sub, stats):
-                continue
-            stats.subtrees += 1
             self._run_subproblem(sub, report, stats)
             # coarse progress-liveness hook; no-op without instrumentation
             self._instr.pulse(stats)
-
-    def _accept_subproblem(self, sub: Subproblem, stats: EnumerationStats) -> bool:
-        """Gate a subproblem against size thresholds and bound hooks.
-
-        Every driver that walks subproblems (batch, progressive, parallel
-        workers) must consult this before running one.
-        """
-        if len(sub.space) < self.min_left:
-            # left sides only shrink inside the subtree, so nothing in
-            # it can meet the threshold
-            stats.threshold_pruned += 1
-            return False
-        if self._use_bound and self._prune_subproblem(sub):
-            stats.threshold_pruned += 1
-            return False
-        return True
+            yield
 
     # -- branch-and-bound hooks (no-ops unless _use_bound is set) ---------
 
@@ -250,8 +247,15 @@ class MBET(MBEAlgorithm):
         tasks) branches only on its fraction of the root's candidate
         groups; earlier groups are seeded into the traversed store, so
         the slices of a subtree are independent and their union is the
-        whole subtree.
+        whole subtree.  A subproblem below ``min_left`` (left sides only
+        shrink inside it) or cut by the bound hook is skipped whole.
         """
+        if len(sub.space) < self.min_left or (
+            self._use_bound and self._prune_subproblem(sub)
+        ):
+            stats.threshold_pruned += 1
+            return
+        stats.subtrees += 1
         space = sub.space
         store = self._make_store()
         for sig in sub.traversed:

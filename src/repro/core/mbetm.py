@@ -20,11 +20,9 @@ import time
 from typing import Iterator
 
 from repro.bigraph.graph import BipartiteGraph
-from repro.core.base import Biclique, EnumerationStats, register
-from repro.core.decompose import iter_subproblems
+from repro.core.base import Biclique, register
 from repro.core.mbet import MBET
-from repro.obs.metrics import NULL_INSTRUMENTATION
-from repro.runtime.budget import NULL_GUARD, BudgetExceeded, RunBudget
+from repro.runtime.budget import RunBudget
 
 #: Default prefix-tree node budget (per subtree), chosen so the trie fits
 #: comfortably in cache while still absorbing the common case.
@@ -79,46 +77,18 @@ class MBETM(MBET):
         Results stream out after each first-level subtree completes, so a
         consumer can plot cumulative output over time or stop early without
         paying for the full enumeration.  An optional ``budget`` bounds the
-        walk; when it trips, the generator simply stops yielding (the
-        already-yielded prefix is exact).  ``instrumentation`` receives a
-        progress pulse per completed subtree and the run's stats when the
-        walk finishes.
+        walk; when it trips, the generator yields what the interrupted
+        subtree had found and stops (everything yielded is exact, and a
+        result cap binds exactly).  ``instrumentation`` observes the walk
+        like :meth:`run` observes a batch run.
         """
-        instr = (
-            instrumentation if instrumentation is not None
-            else NULL_INSTRUMENTATION
-        )
-        work_graph, swapped = (
-            graph.oriented_smaller_v() if self.orient_smaller_v else (graph, False)
-        )
-        stats = EnumerationStats()
-        guard = budget.arm() if budget is not None else NULL_GUARD
-        start = time.perf_counter()
-        self._guard = guard
-        self._instr = instr
-        try:
-            with self._oriented_thresholds(swapped):
-                for sub in iter_subproblems(
-                    work_graph, self.order, seed=self.seed, guard=guard
-                ):
-                    if not self._accept_subproblem(sub, stats):
-                        continue
-                    stats.subtrees += 1
-                    batch: list[Biclique] = []
-
-                    def collect(left, right, _batch=batch):
-                        _batch.append(Biclique.make(left, right))
-
-                    self._run_subproblem(sub, collect, stats)
-                    stats.maximal += len(batch)
-                    instr.pulse(stats)
-                    now = time.perf_counter() - start
-                    for b in batch:
-                        yield (now, b.swap() if swapped else b)
-        except BudgetExceeded:
-            return
-        finally:
-            self._guard = NULL_GUARD
-            self._instr = NULL_INSTRUMENTATION
-            if instr.enabled:
-                instr.publish_stats(stats)
+        with self._session(graph, budget, instrumentation) as run:
+            found = run.sink.results
+            for _ in self._subtrees(run.graph, run.sink, run.stats):
+                now = time.perf_counter() - run.started
+                for b in found:
+                    yield now, b
+                found.clear()
+        now = time.perf_counter() - run.started
+        for b in found:
+            yield now, b

@@ -46,17 +46,14 @@ from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.ordering import rank_of, vertex_order
 from repro.core.base import (
     Biclique,
-    EnumerationLimits,
     EnumerationStats,
     MBEAlgorithm,
     MBEResult,
     register,
-    resolve_budget,
 )
 from repro.core.decompose import build_subproblem
 from repro.core.mbet import MBET
-from repro.obs.metrics import NULL_INSTRUMENTATION
-from repro.runtime.budget import NULL_GUARD, BudgetExceeded, RunBudget
+from repro.runtime.budget import BudgetExceeded, RunBudget
 from repro.runtime.checkpoint import (
     CheckpointWriter,
     load_checkpoint,
@@ -237,7 +234,6 @@ def _run_task(task: tuple[int, int, int], attempt: int):
     cancel_event = ctx["cancel_event"]
     shared = ctx["shared"]
     max_results = ctx["max_results"]
-    stats = EnumerationStats()
     results: list[Biclique] = []
 
     # Per-task sub-deadline: remaining share of the run's wall-clock
@@ -248,9 +244,9 @@ def _run_task(task: tuple[int, int, int], attempt: int):
     if ctx["deadline"] is not None:
         time_limit = ctx["deadline"] - time.monotonic()
         if time_limit <= 0:
-            return 0, stats.as_dict(), results if collect else None, False, (
-                "time_limit"
-            )
+            return 0, EnumerationStats().as_dict(), (
+                results if collect else None
+            ), False, "time_limit"
 
     probe = None
     if cancel_event is not None or (shared is not None and max_results is not None):
@@ -262,11 +258,6 @@ def _run_task(task: tuple[int, int, int], attempt: int):
                 and max_results is not None
                 and shared.value >= max_results
             )
-
-    if time_limit is not None or probe is not None:
-        guard = RunBudget(time_limit=time_limit, cancel=probe).arm()
-    else:
-        guard = NULL_GUARD
 
     count = 0
     unflushed = 0
@@ -284,22 +275,21 @@ def _run_task(task: tuple[int, int, int], attempt: int):
                 if max_results is not None and total >= max_results:
                     raise BudgetExceeded("max_bicliques")
 
-    complete, reason = True, None
-    algo._guard = guard
-    try:
-        sub = build_subproblem(graph, v, rank)
-        if sub is not None and algo._accept_subproblem(sub, stats):
-            stats.subtrees += 1
-            algo._run_subproblem(
-                sub, report, stats, _part=part, _n_parts=n_parts
-            )
-    except BudgetExceeded as exc:
-        complete, reason = False, exc.reason
-    finally:
-        algo._guard = NULL_GUARD
-        if shared is not None and unflushed:
-            shared.add(unflushed)
-    return count, stats.as_dict(), results if collect else None, complete, reason
+    budget = RunBudget(time_limit=time_limit, cancel=probe)
+    with algo._session(graph, budget) as run:
+        try:
+            sub = build_subproblem(run.graph, v, rank)
+            if sub is not None:
+                algo._run_subproblem(
+                    sub, report, run.stats, _part=part, _n_parts=n_parts
+                )
+        finally:
+            if shared is not None and unflushed:
+                shared.add(unflushed)
+    return (
+        count, run.stats.as_dict(), results if collect else None,
+        run.complete, run.stopped,
+    )
 
 
 @register
@@ -372,8 +362,8 @@ class ParallelMBE(MBEAlgorithm):
         self.root_range = root_range
         self.engine_options = dict(engine_options)
 
-    # The framework hook is unused: run() is overridden wholesale because
-    # results arrive from workers, not from an in-process tree walk.
+    # The framework hook is unused: results arrive from workers, not from
+    # an in-process tree walk, so run() drives the session itself.
     def _enumerate(self, graph, report, stats):  # pragma: no cover
         raise NotImplementedError("ParallelMBE drives its own run()")
 
@@ -457,7 +447,6 @@ class ParallelMBE(MBEAlgorithm):
         self,
         graph: BipartiteGraph,
         collect: bool = True,
-        limits: EnumerationLimits | None = None,
         budget: RunBudget | None = None,
         instrumentation=None,
         on_biclique=None,
@@ -487,51 +476,43 @@ class ParallelMBE(MBEAlgorithm):
         bicliques to the driver per task, so the hook sees them at task
         granularity.
         """
-        budget = resolve_budget(limits, budget)
-        instr = (
-            instrumentation if instrumentation is not None
-            else NULL_INSTRUMENTATION
-        )
-        stream = on_biclique is not None
-        if stream:
+        if on_biclique is not None:
             collect = True  # workers ship bicliques; the hook owns storage
-        work_graph, swapped = (
-            graph.oriented_smaller_v() if self.orient_smaller_v else (graph, False)
-        )
+        # a checkpoint names the run in the caller's coordinates
+        fingerprint = self._fingerprint(graph, collect)
+        with self._session(
+            graph, budget, instrumentation, collect, on_biclique,
+            plan=self._make_tasks,
+        ) as run:
+            meta = self._distribute(run, budget, collect, fingerprint)
+        return run.result(meta)
 
-        def deliver(items) -> None:
-            """Hand bicliques to the hook in original orientation."""
-            if swapped:
-                for b in items:
-                    on_biclique(b.swap())
-            else:
-                for b in items:
-                    on_biclique(b)
-        # thresholds are stated in caller coordinates; a swapped work
-        # graph swaps which side each one binds
+    def _distribute(
+        self, run, budget: RunBudget | None, collect: bool, fingerprint: dict
+    ) -> dict:
+        """The body of :meth:`run`: execute the planned tasks, fold their
+        results into ``run.sink``/``run.stats``, settle completeness and
+        return the run's ``meta``."""
+        work_graph, sink, stats, instr = (
+            run.graph, run.sink, run.stats, self._instr
+        )
+        all_tasks = run.work
+        rank = rank_of(vertex_order(work_graph, self.order, seed=self.seed))
+        # inside the session the thresholds are in work coordinates
         algo_options = {
             "order": self.order,
             "seed": self.seed,
-            "min_left": self.min_right if swapped else self.min_left,
-            "min_right": self.min_left if swapped else self.min_right,
+            "min_left": self.min_left,
+            "min_right": self.min_right,
             **self.engine_options,
         }
-        with instr.phase("decompose"):
-            rank = rank_of(vertex_order(work_graph, self.order, seed=self.seed))
-            all_tasks = self._make_tasks(work_graph)
-
-        start = time.perf_counter()
-        stats = EnumerationStats()
         if instr.enabled:
-            instr.begin_run(self.name, stats, total_subtrees=len(all_tasks))
             instr.gauge("parallel_workers", "pool size of the run").set(
                 self.workers
             )
             instr.gauge("parallel_tasks", "root-slice tasks planned").set(
                 len(all_tasks)
             )
-        bicliques: list[Biclique] = []
-        count = 0
         saw_partial = False
         partial_reasons: set[str] = set()
         meta: dict = {"workers": self.workers, "tasks": len(all_tasks)}
@@ -541,7 +522,6 @@ class ParallelMBE(MBEAlgorithm):
         writer: CheckpointWriter | None = None
         if self.checkpoint is not None:
             path = os.fspath(self.checkpoint)
-            fingerprint = self._fingerprint(graph, collect)
             ckpt = load_checkpoint(path)
             resumed: list[dict] = []
             if ckpt is not None:
@@ -549,19 +529,10 @@ class ParallelMBE(MBEAlgorithm):
                 tasks, resumed = reconcile_tasks(all_tasks, ckpt, path)
             writer = CheckpointWriter(path, fingerprint, resume_records=resumed)
             for rec in resumed:
-                count += rec["count"]
-                part_stats = EnumerationStats()
-                for key, value in rec["stats"].items():
-                    setattr(part_stats, key, value)
-                stats.merge(part_stats)
-                if collect and rec["bicliques"]:
-                    restored = [
-                        Biclique.make(ls, rs) for ls, rs in rec["bicliques"]
-                    ]
-                    if stream:
-                        deliver(restored)
-                    else:
-                        bicliques.extend(restored)
+                stats.merge(EnumerationStats.from_dict(rec["stats"]))
+                sink.absorb(rec["count"], [
+                    Biclique.make(ls, rs) for ls, rs in rec["bicliques"] or ()
+                ])
             meta["resumed_tasks"] = len(resumed)
 
         # -- budget wiring -------------------------------------------------
@@ -589,23 +560,15 @@ class ParallelMBE(MBEAlgorithm):
                 if pooled
                 else _LocalCounter()
             )
-            shared.add(count)  # resumed results count against the cap
+            shared.add(sink.count)  # resumed results count against the cap
         else:
             shared = None
 
         def on_result(task, outcome) -> None:
-            nonlocal count, saw_partial
+            nonlocal saw_partial
             task_count, stats_dict, task_bicliques, task_complete, reason = outcome
-            count += task_count
-            part_stats = EnumerationStats()
-            for key, value in stats_dict.items():
-                setattr(part_stats, key, value)
-            stats.merge(part_stats)
-            if collect and task_bicliques:
-                if stream:
-                    deliver(task_bicliques)
-                else:
-                    bicliques.extend(task_bicliques)
+            stats.merge(EnumerationStats.from_dict(stats_dict))
+            sink.absorb(task_count, task_bicliques)
             if instr.enabled:
                 # per-worker snapshot: one trace event per task, plus a
                 # progress pulse over the aggregated driver-side stats
@@ -613,7 +576,7 @@ class ParallelMBE(MBEAlgorithm):
                     "task_done", task=list(task), count=task_count,
                     nodes=stats_dict.get("nodes", 0), complete=task_complete,
                 )
-                instr.on_report(count, stats)
+                instr.on_report(sink.count, stats)
             if not task_complete:
                 saw_partial = True
                 if reason:
@@ -625,7 +588,7 @@ class ParallelMBE(MBEAlgorithm):
                 )
             if (
                 max_results is not None
-                and count >= max_results
+                and sink.count >= max_results
                 and cancel_event is not None
             ):
                 cancel_event.set()
@@ -645,7 +608,7 @@ class ParallelMBE(MBEAlgorithm):
                 if cancel_event is not None:
                     cancel_event.set()
                 return True
-            return max_results is not None and count >= max_results
+            return max_results is not None and sink.count >= max_results
 
         executor = ResilientExecutor(
             task_fn=_run_task,
@@ -682,22 +645,21 @@ class ParallelMBE(MBEAlgorithm):
             ),
         )
         try:
-            with instr.phase("enumerate"):
-                if not tasks:
-                    report = None
-                elif pooled:
-                    report = executor.run(tasks)
-                else:
-                    _init_worker(
-                        work_graph, rank, algo_options, collect, self.faults,
-                        (
-                            _ProbeEvent(cancel_probe)
-                            if cancel_probe is not None
-                            else None
-                        ),
-                        shared, max_results, deadline, inline=True,
-                    )
-                    report = executor.run_serial(tasks)
+            if not tasks:
+                report = None
+            elif pooled:
+                report = executor.run(tasks)
+            else:
+                _init_worker(
+                    work_graph, rank, algo_options, collect, self.faults,
+                    (
+                        _ProbeEvent(cancel_probe)
+                        if cancel_probe is not None
+                        else None
+                    ),
+                    shared, max_results, deadline, inline=True,
+                )
+                report = executor.run_serial(tasks)
         finally:
             if writer is not None:
                 writer.close()
@@ -738,14 +700,13 @@ class ParallelMBE(MBEAlgorithm):
                 stopped = "time_limit"
             elif "cancelled" in partial_reasons:
                 stopped = "cancelled"
-        if stopped:
-            meta["stopped"] = stopped
+        run.stopped = stopped
 
         # "complete" is a positive account, not the absence of a recorded
         # failure: every task handed to the executor (a split task
         # counting as its replacements) must have come back completed;
         # resumed tasks were accounted for by the checkpoint
-        complete = (
+        run.complete = (
             stopped is None
             and not saw_partial
             and (
@@ -756,27 +717,11 @@ class ParallelMBE(MBEAlgorithm):
 
         # Mirror the sequential result-cap semantics: never return more
         # than max_bicliques results (workers stop at amortized
-        # boundaries, so the raw union can overshoot slightly).
-        if max_results is not None and count > max_results:
-            count = max_results
-            if collect and not stream:
-                # (a streaming hook has already seen the overshoot; it is
-                # bounded by the workers' amortized flush window)
-                del bicliques[max_results:]
-            complete = False
-
-        elapsed = time.perf_counter() - start
-        stats.maximal = count
-        if instr.enabled:
-            instr.end_run(self.name, stats, elapsed, count, complete)
-        if collect and swapped:
-            bicliques = [b.swap() for b in bicliques]
-        return MBEResult(
-            algorithm=self.name,
-            count=count,
-            elapsed=elapsed,
-            stats=stats,
-            bicliques=None if stream else (bicliques if collect else None),
-            complete=complete,
-            meta=meta,
-        )
+        # boundaries, so the raw union can overshoot slightly; a
+        # streaming hook has already seen the overshoot, bounded by the
+        # workers' flush window).
+        if max_results is not None and sink.count > max_results:
+            sink.count = max_results
+            del sink.results[max_results:]
+            run.complete = False
+        return meta

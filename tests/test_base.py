@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BipartiteGraph, Biclique, run_mbe
+from repro import BipartiteGraph, Biclique, RunBudget, run_mbe
 from repro.core.base import (
     ALGORITHMS,
-    EnumerationLimits,
     EnumerationStats,
     MBEAlgorithm,
     available_algorithms,
@@ -58,14 +57,14 @@ class TestEnumerationStats:
 class TestLimitsValidation:
     def test_negative_max_rejected(self):
         with pytest.raises(ValueError):
-            EnumerationLimits(max_bicliques=-1).validate()
+            RunBudget(max_bicliques=-1).validate()
 
     def test_zero_time_rejected(self):
         with pytest.raises(ValueError):
-            EnumerationLimits(time_limit=0).validate()
+            RunBudget(time_limit=0).validate()
 
     def test_defaults_valid(self):
-        EnumerationLimits().validate()
+        RunBudget().validate()
 
 
 class TestRegistry:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro import run_mbe
+from repro import Biclique, run_mbe
 from repro.core.mbet import MBET, _ListQ, _TrieQ
 from tests.conftest import G0_MAXIMAL, random_bigraph
 
@@ -117,21 +117,52 @@ class TestListQStore:
         assert store.checks == 2
 
 
+def _chain_run(driver: str, g):
+    """All bicliques of ``g`` through one driver, with completeness."""
+    from repro.core.mbetm import MBETM
+    from repro.core.parallel import ParallelMBE
+
+    # (the linear-scan store where the driver allows it: a path-deep
+    # prefix tree only slows the test down)
+    if driver == "run":
+        result = MBET(order="natural", use_sort=False, use_trie=False).run(g)
+        return result.biclique_set(), result.complete
+    if driver == "iter_bicliques":
+        algo = MBETM(order="natural", use_sort=False)
+        return frozenset(b for _, b in algo.iter_bicliques(g)), True
+    result = ParallelMBE(
+        workers=1, order="natural",
+        engine_options={"use_sort": False, "use_trie": False},
+    ).run(g)
+    return result.biclique_set(), result.complete
+
+
 class TestDeepSearch:
-    def test_deep_chain_runs_recursively_and_restores_the_limit(self):
-        # a nested-neighbourhood chain drives the search depth to n; the
-        # driver raises the recursion limit for the run and restores it
+    @pytest.mark.parametrize("driver", ["run", "iter_bicliques", "parallel"])
+    def test_deep_chain_completes_through_every_driver(self, driver):
+        # the nested chain u >= v in natural order without candidate
+        # sorting drives the search to depth n - 1; with the interpreter
+        # limit below that, every driver must size the limit for the run
+        # and restore it afterwards
         import sys
 
         from repro import BipartiteGraph
 
-        n = 400
+        n = 150
         edges = [(u, v) for v in range(n) for u in range(v, n)]
         g = BipartiteGraph(edges, n_u=n, n_v=n)
-        limit = sys.getrecursionlimit()
-        result = run_mbe(g, "mbet", collect=False, order="natural")
-        assert sys.getrecursionlimit() == limit
-        assert result.count == n  # nested chain: one biclique per level
+        want = frozenset(
+            Biclique.make(range(v, n), range(v + 1)) for v in range(n)
+        )
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            got, complete = _chain_run(driver, g)
+            assert sys.getrecursionlimit() == 120
+        finally:
+            sys.setrecursionlimit(saved)
+        assert complete
+        assert got == want
 
 
 class TestMBETConstruction:

@@ -16,6 +16,7 @@ import math
 import pytest
 
 from repro import run_mbe
+from repro.core.mbetm import MBETM
 from repro.core.parallel import ParallelMBE
 from repro.obs import (
     Instrumentation,
@@ -72,6 +73,14 @@ class TestOverheadContract:
         patch_obs_clock(monkeypatch, clock)
         result = ParallelMBE(workers=1).run(g0)
         assert result.count == 6
+        assert clock.calls == 0
+
+    def test_uninstrumented_iter_bicliques_reads_no_obs_clock(
+        self, monkeypatch, g0
+    ):
+        clock = CountingClock()
+        patch_obs_clock(monkeypatch, clock)
+        assert len(list(MBETM().iter_bicliques(g0))) == 6
         assert clock.calls == 0
 
     def test_instrumented_run_does_read_the_clock(self, monkeypatch, g0):
@@ -407,6 +416,28 @@ class TestRunIntegration:
         names = [e["name"] for e in instr.tracer.events]
         assert names[0] == "run_start"
         assert names[-1] == "run_end"
+
+    def test_progressive_driver_reports_like_run(self, g0):
+        # the progressive driver goes through the same run session as
+        # run(): lifecycle events, the enumerate span, the mbe_run*
+        # families and a started and finished progress reporter
+        stream = io.StringIO()
+        instr = Instrumentation(progress=ProgressReporter(
+            stream=stream, mode="jsonl", interval=0.0, stride=1,
+        ))
+        assert len(list(MBETM().iter_bicliques(g0, instrumentation=instr))) == 6
+        names = [e["name"] for e in instr.tracer.events]
+        assert names[0] == "run_start"
+        assert names[-1] == "run_end"
+        assert "enumerate" in instr.tracer.phase_durations()
+        samples = parse_prometheus_text(prometheus_text(instr.registry))
+        assert samples["mbe_runs_total"] == 1
+        assert samples['mbe_run_elapsed_seconds{algorithm="mbetm"}'] >= 0
+        assert samples["mbe_run_seconds_count"] == 1
+        assert samples[stat_metric_name("maximal")] == 6
+        final = json.loads(stream.getvalue().splitlines()[-1])
+        assert final["final"] is True
+        assert final["bicliques"] == 6
 
     def test_incomplete_run_counted(self, g0):
         instr = Instrumentation()

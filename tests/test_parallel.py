@@ -32,10 +32,10 @@ class TestConstruction:
             ParallelMBE(task_timeout=0)
 
     def test_limits_supported(self, g0):
-        from repro.core.base import EnumerationLimits
+        from repro.runtime import RunBudget
 
         algo = ParallelMBE(workers=1)
-        result = algo.run(g0, limits=EnumerationLimits(max_bicliques=3))
+        result = algo.run(g0, budget=RunBudget(max_bicliques=3))
         assert result.complete is False
         assert result.count == 3
         assert len(result.bicliques) == 3

@@ -138,6 +138,11 @@ class TestDeadlineBinding:
         algo = MBETM()
         out = list(algo.iter_bicliques(g0, budget=RunBudget(cancel=lambda: True)))
         assert out == []  # budget tripped before the first subtree
+        # a result cap binds exactly, mid-subtree included
+        capped = list(algo.iter_bicliques(g0, budget=RunBudget(max_bicliques=4)))
+        full = run_mbe(g0, "mbetm").biclique_set()
+        assert len(capped) == 4
+        assert {b for _, b in capped} <= full
 
 
 class TestFaultPlan:
