@@ -1,8 +1,9 @@
 """R-F6: ablation of MBET's techniques.
 
 One benchmark per disabled technique on the yg stand-in.  Expected shape:
-full mbet is the fastest column; w/o-trie pays on deep traversed sets,
-w/o-merge on repeated signatures, w/o-sort on branch ordering.
+full mbet (adaptive store) is the fastest column; forced-trie pays the
+prefix tree in subproblems below the crossover, w/o-merge pays on
+repeated signatures, w/o-sort on branch ordering.
 Full table: ``python -m repro experiments --run R-F6``.
 """
 
@@ -14,6 +15,7 @@ from repro import datasets, run_mbe
 
 VARIANTS = [
     ("full", {}),
+    ("forced-trie", {"use_trie": True}),
     ("no-trie", {"use_trie": False}),
     ("no-merge", {"use_merge": False}),
     ("no-sort", {"use_sort": False}),

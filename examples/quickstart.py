@@ -42,6 +42,9 @@ def main() -> None:
     print(f"maximality checks:     {stats.checks}")
     print(f"non-maximal rejected:  {stats.non_maximal}")
     print(f"candidates merged:     {stats.merged_candidates}")
+    # a graph this small stays below TRIE_MIN_SIZE: every subproblem
+    # scans a list, so the prefix tree stays empty
+    print(f"trie subproblems:      {stats.trie_subtrees} of {stats.subtrees}")
     print(f"prefix-tree peak size: {stats.trie_peak_nodes} nodes")
 
     # Every registered algorithm returns the same set.

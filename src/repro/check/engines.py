@@ -32,8 +32,11 @@ CONSTRAINED_ENGINES: frozenset[str] = frozenset(
 #: trie-overflow / slicing paths that plain defaults never reach.
 ENGINE_VARIANTS: dict[str, tuple[dict[str, Any], ...]] = {
     "mbet": (
-        {}, {"use_trie": False}, {"use_merge": False}, {"use_sort": False},
-        {"trie_max_nodes": 4}, {"orient_smaller_v": True},
+        # fuzz graphs sit below TRIE_MIN_SIZE, so the adaptive default
+        # scans a list: the trie and its overflow path are forced
+        {}, {"use_trie": True}, {"use_trie": False}, {"use_merge": False},
+        {"use_sort": False}, {"use_trie": True, "trie_max_nodes": 4},
+        {"orient_smaller_v": True},
     ),
     "mbetm": ({}, {"max_nodes": 8}),
     "parallel": (
@@ -42,6 +45,7 @@ ENGINE_VARIANTS: dict[str, tuple[dict[str, Any], ...]] = {
         {"workers": 1},
         # engine_options as a pair-tuple keeps the spec hashable
         {"workers": 1, "engine_options": (("use_trie", False),)},
+        {"workers": 1, "engine_options": (("use_trie", True),)},
     ),
     "oombea": ({}, {"order": "random"}),
 }

@@ -46,6 +46,6 @@ class BrokenMBET(MBET):
         super().__init__(**options)
         self.break_maximality = break_maximality
 
-    def _make_store(self):
-        store = super()._make_store()
+    def _make_store(self, size):
+        store = super()._make_store(size)
         return _BlindStore(store) if self.break_maximality else store

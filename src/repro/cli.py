@@ -510,6 +510,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     explored = st.nodes + st.non_maximal + st.threshold_pruned
     rows = [
         ["subtrees", f"{st.subtrees:,}", "first-level subproblems"],
+        ["trie_subtrees", f"{st.trie_subtrees:,}",
+         _share(st.trie_subtrees, st.subtrees,
+                "of subproblems checked on the prefix tree")],
         ["nodes", f"{st.nodes:,}", "enumeration-tree nodes expanded"],
         ["maximal", f"{st.maximal:,}", "bicliques reported"],
         ["non_maximal", f"{st.non_maximal:,}",

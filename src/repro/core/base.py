@@ -60,6 +60,8 @@ class EnumerationStats:
     ``intersections``    neighbourhood intersections performed
     ``merged_candidates`` candidates absorbed by equal-signature merging
     ``subtrees``         first-level subproblems processed
+    ``trie_subtrees``    of those, the ones whose node checks ran on a
+                         prefix tree (the rest scanned a list)
     ``trie_peak_nodes``  peak prefix-tree size (MBET/MBETM only)
     ``trie_overflow``    containment sets that did not fit the trie budget
     ``threshold_pruned`` branches cut by min_left/min_right bounds
@@ -80,6 +82,7 @@ class EnumerationStats:
         "intersections",
         "merged_candidates",
         "subtrees",
+        "trie_subtrees",
         "trie_peak_nodes",
         "trie_overflow",
         "threshold_pruned",

@@ -51,6 +51,12 @@ class Subproblem:
         return min(len(self.space), len(self.cands))
 
     @property
+    def store_size(self) -> int:
+        """Most signatures a traversed-set store of this subproblem can
+        hold: the initial ``Q`` plus one insert per candidate."""
+        return len(self.traversed) + len(self.cands)
+
+    @property
     def size_estimate(self) -> int:
         """Crude node-count estimate ``min(|L₀|,|cands|) * |cands|``.
 

@@ -16,9 +16,15 @@ over the ordered set-enumeration framework:
    traversed signatures are kept in a trie scoped to the current search
    path (inserted on traversal, removed on backtrack), and the maximality
    check becomes a pruned superset descent instead of a linear scan.
+   The trie pays only once the traversed family reaches the thousands
+   (R-E4), so by default each first-level subproblem picks its store from
+   its own size: a trie at or above :data:`TRIE_MIN_SIZE`, a linear scan
+   below it.
 
 Feature flags (``use_trie``, ``use_merge``, ``use_sort``) exist for the
-ablation experiment R-F6; all default to on.
+ablation experiment R-F6; merging and sorting default to on, and
+``use_trie`` defaults to ``None`` (the adaptive choice above), with
+``True``/``False`` forcing the trie or the scan for every subproblem.
 
 Size-constrained mining ("large MBE", Liu et al. 2006): ``min_left`` /
 ``min_right`` restrict output to bicliques with ``|L| >= min_left`` and
@@ -44,6 +50,14 @@ from repro.bigraph.graph import BipartiteGraph
 from repro.core.base import EnumerationStats, MBEAlgorithm, register
 from repro.core.decompose import Subproblem, iter_subproblems
 from repro.core.prefixtree import PrefixTree
+
+#: Subproblem ``store_size`` (initial traversed set plus candidates, the
+#: most signatures any search path in it can hold) at and above which the
+#: adaptive default (``use_trie=None``) stores traversed signatures in a
+#: prefix tree; smaller subproblems scan a list.  Placed by the
+#: per-subproblem table in ``BENCH_2026-10-18.json``
+#: (``tools/store_crossover.py``).
+TRIE_MIN_SIZE = 1000
 
 
 class _TrieQ:
@@ -93,7 +107,8 @@ class _TrieQ:
 
 
 class _ListQ:
-    """Linear-scan traversed-set store (the ``use_trie=False`` ablation)."""
+    """Linear-scan traversed-set store: the default below
+    :data:`TRIE_MIN_SIZE`, and every subproblem's with ``use_trie=False``."""
 
     __slots__ = ("masks", "checks")
 
@@ -136,7 +151,7 @@ class MBET(MBEAlgorithm):
     def __init__(
         self,
         order: str = "degree",
-        use_trie: bool = True,
+        use_trie: bool | None = None,
         use_merge: bool = True,
         use_sort: bool = True,
         trie_max_nodes: int | None = None,
@@ -224,14 +239,20 @@ class MBET(MBEAlgorithm):
             groups.sort(key=lambda g: (g[0].bit_count(), g[0]))
         return groups
 
-    def _make_store(self):
-        """Build the traversed-set store for one subproblem.
+    def _make_store(self, size: int):
+        """Build the traversed-set store for one subproblem of
+        :attr:`~repro.core.decompose.Subproblem.store_size` ``size``.
 
+        ``use_trie=None`` picks the prefix tree from :data:`TRIE_MIN_SIZE`
+        up and the linear scan below it; ``True``/``False`` force one.
         Overridable seam: the fuzzing harness's deliberately-broken engine
         (``repro.check.selftest``) wraps the store to disable maximality
         checking, proving the differential oracles catch real bugs.
         """
-        return _TrieQ(self.trie_max_nodes) if self.use_trie else _ListQ()
+        use_trie = self.use_trie
+        if use_trie is None:
+            use_trie = size >= TRIE_MIN_SIZE
+        return _TrieQ(self.trie_max_nodes) if use_trie else _ListQ()
 
     def _run_subproblem(
         self,
@@ -257,7 +278,7 @@ class MBET(MBEAlgorithm):
             return
         stats.subtrees += 1
         space = sub.space
-        store = self._make_store()
+        store = self._make_store(sub.store_size)
         for sig in sub.traversed:
             store.insert(sig)
 
@@ -290,6 +311,7 @@ class MBET(MBEAlgorithm):
     def _fold_store_stats(store, stats: EnumerationStats) -> None:
         """Fold one subproblem store's instrumentation into the run stats."""
         if isinstance(store, _TrieQ):
+            stats.trie_subtrees += 1
             trie = store.trie
             stats.checks += trie.queries
             saved = trie.scan_equivalent - trie.node_visits - store.overflow_scans

@@ -252,6 +252,7 @@ _STAT_HELP = {
     "intersections": "neighbourhood intersections performed",
     "merged_candidates": "candidates absorbed by equal-signature merging",
     "subtrees": "first-level subproblems processed",
+    "trie_subtrees": "first-level subproblems checked on a prefix tree",
     "trie_peak_nodes": "peak prefix-tree size",
     "trie_overflow": "containment sets that did not fit the trie budget",
     "threshold_pruned": "branches cut by min_left/min_right bounds",

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro import BipartiteGraph, Biclique
+from repro.core.mbet import TRIE_MIN_SIZE
 
 #: All registered exact algorithms that must agree with brute force.
 EXACT_ALGORITHMS = (
@@ -61,3 +62,23 @@ def random_bigraph(
         (u, v) for u in range(n_u) for v in range(n_v) if rng.random() < prob
     ]
     return BipartiteGraph(edges, n_u=n_u, n_v=n_v)
+
+
+def hub_graph() -> BipartiteGraph:
+    """A hub component whose richer roots see more than TRIE_MIN_SIZE
+    2-hop vertices, beside a small random component whose roots do not.
+
+    ``u0`` is adjacent to every hub right vertex; the first 20 also see a
+    few of ``u1..u8``, so their subproblems carry the other hub vertices
+    as traversed signatures or candidates.
+    """
+    rng = random.Random(3)
+    n_hub = TRIE_MIN_SIZE + 50
+    edges = [(0, v) for v in range(n_hub)]
+    for v in range(20):
+        edges += [(u, v) for u in rng.sample(range(1, 9), rng.randint(1, 4))]
+    edges += [
+        (u, v) for u in range(9, 21) for v in range(n_hub, n_hub + 15)
+        if rng.random() < 0.4
+    ]
+    return BipartiteGraph(edges)

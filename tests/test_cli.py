@@ -230,6 +230,7 @@ class TestProfileCommand:
         assert "enumerate" in out
         assert "trie_pruned" in out
         assert "subtrees" in out
+        assert "trie_subtrees" in out
 
     def test_profile_verify_adds_phase(self, g0_file, capsys):
         assert main(
@@ -357,7 +358,7 @@ class TestFuzzCommand:
     def test_self_test_catches_broken_engine(self, tmp_path, capsys):
         artifacts = tmp_path / "artifacts"
         assert main(
-            ["fuzz", "--cases", "40", "--seed", "2", "--max-side", "6",
+            ["fuzz", "--cases", "200", "--seed", "2", "--max-side", "6",
              "--self-test", "--max-failures", "1",
              "--artifacts", str(artifacts)]
         ) == 0

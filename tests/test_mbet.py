@@ -7,8 +7,8 @@ import random
 import pytest
 
 from repro import Biclique, run_mbe
-from repro.core.mbet import MBET, _ListQ, _TrieQ
-from tests.conftest import G0_MAXIMAL, random_bigraph
+from repro.core.mbet import MBET, TRIE_MIN_SIZE, _ListQ, _TrieQ
+from tests.conftest import G0_MAXIMAL, hub_graph, random_bigraph
 
 
 class TestFeatureFlags:
@@ -59,7 +59,7 @@ class TestStatsAccounting:
         assert result.count == 2  # full graph x v0, {u0,u1} x {v0,v1,v2}
 
     def test_trie_peak_positive_when_used(self, g0):
-        result = run_mbe(g0, "mbet", order="natural")
+        result = run_mbe(g0, "mbet", order="natural", use_trie=True)
         assert result.stats.trie_peak_nodes >= 1
 
     def test_no_trie_stats_when_disabled(self, g0):
@@ -70,6 +70,31 @@ class TestStatsAccounting:
     def test_maximal_equals_count(self, g0):
         result = run_mbe(g0, "mbet")
         assert result.stats.maximal == result.count == 6
+
+
+class TestAdaptiveStore:
+    def test_threshold_picks_the_store(self):
+        algo = MBET()
+        assert isinstance(algo._make_store(TRIE_MIN_SIZE - 1), _ListQ)
+        assert isinstance(algo._make_store(TRIE_MIN_SIZE), _TrieQ)
+
+    def test_forced_modes_ignore_size(self):
+        assert isinstance(MBET(use_trie=True)._make_store(0), _TrieQ)
+        big = TRIE_MIN_SIZE * 10
+        assert isinstance(MBET(use_trie=False)._make_store(big), _ListQ)
+
+    def test_hub_graph_uses_both_stores_and_stays_exact(self):
+        g = hub_graph()
+        result = run_mbe(g, "mbet")
+        assert 0 < result.stats.trie_subtrees < result.stats.subtrees
+        got = result.biclique_set()
+        assert got == run_mbe(g, "mbet", use_trie=False).biclique_set()
+        assert got == run_mbe(g, "imbea").biclique_set()
+
+    def test_forced_stores_count_trie_subtrees(self, g0):
+        forced = run_mbe(g0, "mbet", use_trie=True).stats
+        assert forced.trie_subtrees == forced.subtrees > 0
+        assert run_mbe(g0, "mbet", use_trie=False).stats.trie_subtrees == 0
 
 
 class TestTrieQStore:
@@ -168,7 +193,8 @@ class TestDeepSearch:
 class TestMBETConstruction:
     def test_default_flags(self):
         algo = MBET()
-        assert algo.use_trie and algo.use_merge and algo.use_sort
+        assert algo.use_trie is None
+        assert algo.use_merge and algo.use_sort
         assert algo.trie_max_nodes is None
 
     def test_name_registered(self):

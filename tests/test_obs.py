@@ -177,6 +177,7 @@ class TestMetrics:
     def test_stat_metric_name(self):
         assert stat_metric_name("nodes") == "mbe_nodes_total"
         assert stat_metric_name("trie_peak_nodes") == "mbe_trie_peak_nodes"
+        assert stat_metric_name("trie_subtrees") == "mbe_trie_subtrees_total"
 
 
 class TestTracer:

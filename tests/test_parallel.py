@@ -9,7 +9,7 @@ import pytest
 from repro import run_mbe
 from repro.core.parallel import ParallelMBE
 from repro.datasets import load
-from tests.conftest import G0_MAXIMAL, random_bigraph
+from tests.conftest import G0_MAXIMAL, hub_graph, random_bigraph
 
 
 class TestConstruction:
@@ -111,6 +111,12 @@ class TestAgreement:
         assert result.meta["tasks"] > len(addressable_roots(g))  # split
         assert result.stats.checks > 0
         assert result.stats.trie_peak_nodes == 0
+        assert result.biclique_set() == run_mbe(g, "mbet").biclique_set()
+
+    def test_trie_subtrees_merge_across_workers(self):
+        g = hub_graph()
+        result = run_mbe(g, "parallel", workers=2)
+        assert 0 < result.stats.trie_subtrees < result.stats.subtrees
         assert result.biclique_set() == run_mbe(g, "mbet").biclique_set()
 
     def test_stats_aggregated(self, g0):

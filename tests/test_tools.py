@@ -1,4 +1,5 @@
-"""Tests for the repository tooling (tools/build_experiments_md.py)."""
+"""Tests for the repository tooling (tools/build_experiments_md.py,
+bench_snapshot.py and store_crossover.py)."""
 
 from __future__ import annotations
 
@@ -85,3 +86,26 @@ class TestBenchSnapshot:
             assert cell["features"]["n_edges"] > 0
         # one dataset is one edge count: too few points to refit
         assert doc["crossover"]["work_model"] is None
+
+
+class TestStoreCrossover:
+    def test_writes_runs_and_per_subproblem_table(self, tmp_path):
+        import json
+
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "store_crossover.py"),
+             "--out", str(tmp_path), "--date", "2026-01-02",
+             "--datasets", "mti", "--repeats", "1", "--no-powerlaw"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "BENCH_2026-01-02.json").read_text())
+        graph = doc["graphs"]["mti"]
+        assert graph["count"] == 2341
+        assert set(graph["runs"]) == {
+            "trie", "list", "adaptive", "adaptive_vs_best"
+        }
+        table = graph["subproblems"]
+        assert sum(b["subproblems"] for b in table["by_size"]) == table["count"]
+        # no threshold rule beats the faster store per subproblem
+        assert all(rule["vs_best"] >= 1.0 for rule in table["by_threshold"])
